@@ -62,15 +62,18 @@ def _build_parser() -> argparse.ArgumentParser:
         ("report", "re-render a written report.json"),
     ):
         p = sub.add_parser(name, help=desc)
-        p.add_argument("--config", metavar="PATH", help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--out", metavar="DIR", default=None, help="output directory")
-        p.add_argument(
-            "--mode",
-            choices=("exact", "greedy"),
-            default="greedy",
-            help="cover search mode where a width computation runs",
-        )
+        if name != "report":
+            p.add_argument("--config", metavar="PATH", help="experiment config JSON")
+            p.add_argument("--seed", type=int, default=None, help="override the seed")
+        if name not in ("marker", "fmap", "verify"):
+            p.add_argument("--out", metavar="DIR", default=None, help="output directory")
+        if name in ("phi", "widim"):
+            p.add_argument(
+                "--mode",
+                choices=("exact", "greedy"),
+                default="greedy",
+                help="cover search mode of the width computation",
+            )
         if name == "products":
             p.add_argument("--count", type=int, default=2, help="number of factors (1..4)")
         if name == "widim":
@@ -84,7 +87,7 @@ def _config_for(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.out is not None:
+    if getattr(args, "out", None) is not None:
         config = replace(config, out_dir=args.out)
     return config
 

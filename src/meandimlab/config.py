@@ -224,7 +224,7 @@ class ResolvedParams:
     @property
     def K(self) -> int:
         """Certified lookback radius of the central tile."""
-        return 2 * self.tparams.M1 + 2
+        return self.tparams.K
 
     @property
     def fiber_bound(self) -> float:

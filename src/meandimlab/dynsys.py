@@ -209,6 +209,27 @@ def _margin(spec: SystemSpec) -> int:
     return spec.truncation_radius(1e-9)
 
 
+def _checked_spec(points, n: int, check_margin: bool) -> SystemSpec:
+    """Common spec of the points after the checks of ``bowen_dist``: one
+    spec, n >= 1 and, with ``check_margin``, every window covering the
+    1e-9 truncation margin around [0, n-1]."""
+    spec = points[0].spec
+    if any(w.spec != spec for w in points):
+        raise ConfigurationError("points come from different system specs")
+    if n < 1:
+        raise ConfigurationError("Bowen horizon must be >= 1")
+    if check_margin:
+        t = _margin(spec)
+        for w in points:
+            lo, hi = w.stored_span()
+            if lo > -t or hi < n - 1 + t:
+                raise WindowExhaustionError(
+                    f"stored window {w.stored_span()} does not cover "
+                    f"[{-t}, {n - 1 + t}] needed for d_{n} at 1e-9 accuracy"
+                )
+    return spec
+
+
 def bowen_dist(x: OrbitWindow, y: OrbitWindow, n: int, check_margin: bool = True) -> float:
     """d_n(x,y) = max over i in [0,n) of d(T^i x, T^i y).
 
@@ -219,22 +240,10 @@ def bowen_dist(x: OrbitWindow, y: OrbitWindow, n: int, check_margin: bool = True
     With ``check_margin`` (default) both windows must have stored data
     covering [-t, n-1+t] for the 1e-9 truncation radius t, so the value does
     not silently lean on the zero extension; pass False to evaluate points
-    whose extension is intentionally part of their definition.
+    whose extension is intentionally part of their definition.  This is the
+    pair-at-a-time reference for ``bowen_dmat``.
     """
-    if x.spec != y.spec:
-        raise ConfigurationError("points come from different system specs")
-    if n < 1:
-        raise ConfigurationError("Bowen horizon must be >= 1")
-    spec = x.spec
-    if check_margin:
-        t = _margin(spec)
-        for w in (x, y):
-            lo, hi = w.stored_span()
-            if lo > -t or hi < n - 1 + t:
-                raise WindowExhaustionError(
-                    f"stored window {w.stored_span()} does not cover "
-                    f"[{-t}, {n - 1 + t}] needed for d_{n} at 1e-9 accuracy"
-                )
+    spec = _checked_spec((x, y), n, check_margin)
     circ = arcdist_num(spec, x.circle_numerator() - y.circle_numerator()) / spec.q
     if spec.D == 0:
         return circ
@@ -247,6 +256,50 @@ def bowen_dist(x: OrbitWindow, y: OrbitWindow, n: int, check_margin: bool = True
     d_out = np.maximum(np.maximum(-ks, ks - (n - 1)), 0)
     cube = float(np.max(coord * spec.decay**d_out)) if len(ks) else 0.0
     return max(circ, cube)
+
+
+def sup_dmat(rows, w=None) -> np.ndarray:
+    """Pairwise weighted sup distances max_j w[j] * |rows[a,j] - rows[b,j]|.
+
+    ``w`` defaults to unit weights; zero-length rows are at distance 0.
+    The result is symmetric with a zero diagonal.  One vector pass per row
+    needs one temporary of at most rows.size, not S * rows.size.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    S = rows.shape[0]
+    out = np.zeros((S, S))
+    for i in range(S - 1):
+        d = rows[i + 1 :] - rows[i]
+        np.abs(d, out=d)
+        if w is not None:
+            d *= w
+        out[i, i + 1 :] = out[i + 1 :, i] = d.max(axis=1, initial=0.0)
+    return out
+
+
+def bowen_dmat(points, n: int) -> np.ndarray:
+    """All pairwise d_n distances; entry (a, b) equals
+    ``bowen_dist(points[a], points[b], n)`` exactly, with the same checks.
+
+    The circle term is the exact arc between integer numerators; the cube
+    term is the weighted sup over each point's flattened cube block, which
+    matches bowen_dist's per-symbol sup because scaling by a nonnegative
+    weight is monotone in floating point.
+    """
+    if len(points) == 0:
+        raise ConfigurationError("need at least one point")
+    spec = _checked_spec(points, n, True)
+    q = spec.q
+    # Python ints stay exact for any q, and int / int rounds as in bowen_dist
+    nums = np.array([p.circle_numerator() for p in points], dtype=object)
+    d = (nums[:, None] - nums[None, :]) % q
+    circ = (np.minimum(d, q - d) / q).astype(np.float64)
+    t_cut = spec.truncation_radius(2.0**-60)
+    lo, hi = -t_cut, n - 1 + t_cut
+    ks = np.arange(lo, hi + 1)
+    w = spec.decay ** np.maximum(np.maximum(-ks, ks - (n - 1)), 0)
+    rows = np.stack([p.cube_block(lo, hi).ravel() for p in points])
+    return np.maximum(circ, sup_dmat(rows, np.repeat(w, spec.D)))
 
 
 def sample_points(

@@ -31,7 +31,7 @@ from .checks import (
     PAIR_SEPARATION,
     CheckResult,
 )
-from .dynsys import ConfigurationError, bowen_dist
+from .dynsys import ConfigurationError, bowen_dmat, sup_dmat
 from .marker import MarkerSpec, marker_sequence, support_window_for
 from .signal import (
     SignalParams,
@@ -155,15 +155,7 @@ def delta_transfer_of(space: CellSpace, projection: np.ndarray, eps: float) -> f
     far = _pairwise_atom_dmat(space) >= eps
     if not far.any():
         return math.inf
-    P = projection
-    best = math.inf
-    for i0 in range(0, P.shape[0], 256):
-        sub = far[i0 : i0 + 256]
-        if not sub.any():
-            continue
-        gaps = np.abs(P[i0 : i0 + 256, None, :] - P[None, :, :]).max(axis=2)
-        best = min(best, float(gaps[sub].min()))
-    return best
+    return float(sup_dmat(projection)[far].min())
 
 
 def _fiber_atoms(atom_images: np.ndarray, p, tol: float) -> np.ndarray:
@@ -500,7 +492,7 @@ def fiber_width_chain(
     then compared against delta * horizon.
     """
     m = sparams.m
-    K = 2 * tparams.M1 + 2
+    K = tparams.K
     tol = eps / 10.0 if fiber_tol is None else float(fiber_tol)
     if len(pool) < 2:
         raise ConfigurationError("need a pool of at least two points")
@@ -515,7 +507,9 @@ def fiber_width_chain(
         phi_rows.append(_phi_profile(ctx, sparams))
         g_rows.append(_g_profile(ctx, F_oracle, sparams))
     G = np.stack(g_rows)
-    PHI = np.stack(phi_rows)
+    # pool points j, k share a thickened fiber iff close[j, k]
+    close = np.maximum(sup_dmat(G), sup_dmat(np.stack(phi_rows))) <= tol
+    bowen = bowen_dmat(pool, horizon)
 
     rng = np.random.default_rng([seed, len(pool), probe_count])
     chosen = rng.choice(len(pool), size=probe_count, replace=probe_count > len(pool))
@@ -545,10 +539,7 @@ def fiber_width_chain(
     blocks_total = 0
     max_ratio = 0.0
     for i in map(int, chosen):
-        close = (np.abs(G - G[i]).max(axis=1) <= tol) & (
-            np.abs(PHI - PHI[i]).max(axis=1) <= tol
-        )
-        members = np.nonzero(close)[0]
+        members = np.nonzero(close[i])[0]
         blocks = 0
         for j in map(int, members):
             matched = 0
@@ -563,13 +554,7 @@ def fiber_width_chain(
                 )
             blocks += matched
         S = len(members)
-        dmat = np.zeros((S, S))
-        for a in range(S):
-            for b in range(a + 1, S):
-                dmat[a, b] = dmat[b, a] = bowen_dist(
-                    pool[int(members[a])], pool[int(members[b])], horizon
-                )
-        wid = _dmat_widim_upper(dmat, eps)
+        wid = _dmat_widim_upper(bowen[np.ix_(members, members)], eps)
         ratio = wid / horizon
         max_ratio = max(max_ratio, ratio)
         members_total += S

@@ -57,8 +57,9 @@ from .dynsys import (
     OrbitWindow,
     SystemSpec,
     WindowExhaustionError,
-    bowen_dist,
+    bowen_dmat,
     sample_points,
+    sup_dmat,
 )
 from .fibre import (
     FiberError,
@@ -115,6 +116,7 @@ from .widim import (
     pattern_series,
     sample_space_from_dmat,
     seq_bowen_dmat,
+    seq_pad,
     tau_for,
 )
 
@@ -252,13 +254,10 @@ def _star_transfer(pool, F, eps: float, horizon: int) -> CheckResult:
     nerve-based construction.
     """
     vals = np.stack([np.asarray(F(x), dtype=np.float64) for x in pool])
-    dt = math.inf
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            if bowen_dist(pool[i], pool[j], horizon) >= eps:
-                dt = min(dt, float(np.abs(vals[i] - vals[j]).max()))
-    if math.isinf(dt):
+    far = bowen_dmat(pool, horizon) >= eps
+    if not far.any():
         return CheckResult(NERVE_TRANSFER, True, "vacuous: no sampled pair at eps")
+    dt = float(sup_dmat(vals)[far].min())
     return CheckResult(
         NERVE_TRANSFER, dt > 0.0, f"image gap {dt:.6g} over eps-separated pairs"
     )
@@ -285,8 +284,7 @@ def tiling_suite(
     if samples < 1:
         raise ConfigurationError("need at least one instance")
     if window is None:
-        K = 2 * tparams.M1 + 2
-        window = (float(-(K + 64)), float(K + 64))
+        window = (float(-(tparams.K + 64)), float(tparams.K + 64))
     ids = (
         TILE_LOCALITY,
         SURVIVOR_LEVEL,
@@ -320,14 +318,6 @@ def tiling_suite(
     return suites, first
 
 
-def _seq_pad(eps: float, decay: float, amp: float = 2.0) -> int:
-    """Window slack needed by the sequence-space Bowen metric at eps."""
-    pad = 0
-    while amp * decay**pad >= eps / 16.0:
-        pad += 1
-    return pad
-
-
 def phi_suite(
     mspec: MarkerSpec,
     tparams: TilingParams,
@@ -351,7 +341,7 @@ def phi_suite(
     if budget is None:
         budget = tparams.delta
     h_hi = max(z_horizons)
-    pad = _seq_pad(eps, mspec.system.decay)
+    pad = seq_pad(eps, mspec.system.decay)
     if N < h_hi + 2 * pad + 1:
         raise ConfigurationError(f"window N={N} too short for horizons {h_hi}")
     suites = {cid: CheckSuite(cid) for cid in (PROFILE_CAP, PLATEAU_BUDGET)}
@@ -449,12 +439,7 @@ def _clustered_space(
             )
             num = (x.circle_num + int(rng.integers(0, reach + 1))) % system.q
             samples.append(OrbitWindow(spec=system, cube=cube, circle_num=num))
-    S = len(samples)
-    dmat = np.zeros((S, S))
-    for i in range(S):
-        for j in range(i + 1, S):
-            dmat[i, j] = dmat[j, i] = bowen_dist(samples[i], samples[j], horizon)
-    return sample_space_from_dmat(dmat, eps)
+    return sample_space_from_dmat(bowen_dmat(samples, horizon), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +593,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineReport:
         "tiling",
         lambda: tiling_suite(mspec, tparams, counts["tile_samples"], seed=seed),
     )
+    window_radius = int(t0.valid_window[1])
     tables["tiling"] = (
         ["label", "lo", "hi"],
         [
@@ -714,6 +700,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineReport:
         ),
     )
 
+    z_horizons = [n for n, _ in phi_est["z_width"]["per_n"]]
     stages = (
         StageReport(
             "parameters",
@@ -731,7 +718,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineReport:
         StageReport(
             "tiling",
             tuple(s.result() for s in t_suites.values()),
-            {"samples": counts["tile_samples"], "window_radius": 2 * tparams.M1 + 66},
+            {"samples": counts["tile_samples"], "window_radius": window_radius},
         ),
         StageReport(
             "phi",
@@ -778,8 +765,8 @@ def run_pipeline(config: ExperimentConfig) -> PipelineReport:
         "tile_samples": counts["tile_samples"],
         "signal_samples": counts["signal_samples"],
         "fmap_bases": counts["fmap_bases"],
-        "z_horizons": [3, 8],
-        "tiling_window_radius": 2 * tparams.M1 + 66,
+        "z_horizons": [min(z_horizons), max(z_horizons)],
+        "tiling_window_radius": window_radius,
     }
     return PipelineReport(
         config=config_to_json(config),

@@ -99,6 +99,12 @@ class TilingParams:
         return self.c * self.H
 
     @property
+    def K(self) -> int:
+        """Lookback radius 2*M1 + 2: the farthest marker site that can shape
+        a kept tile, and the certified reach of the central tile."""
+        return 2 * self.M1 + 2
+
+    @property
     def margin(self) -> int:
         """Marker-window slack needed on each side of a tiling window.
 
@@ -220,7 +226,7 @@ def slice_tiling(
     M1 = params.M1
     lab_lo = math.ceil(w_lo - (M1 + 1))
     lab_hi = math.floor(w_hi + (M1 + 1))
-    reach = 2 * M1 + 2  # farthest site that can shape a kept tile
+    reach = params.K  # farthest site that can shape a kept tile
     i0 = int(np.searchsorted(seq.support, lab_lo - reach))
     i1 = int(np.searchsorted(seq.support, lab_hi + reach, side="right"))
     sites = seq.support[i0:i1]
@@ -344,7 +350,7 @@ def good_tile(
     to sit inside [-2*M1-2, 2*M1+2], which certifies the lookback radius
     K = 2*M1+2 used downstream.
     """
-    need = float(2 * params.M1 + 2)
+    need = float(params.K)
     for t in (tiling_H, tiling_cH):
         w0, w1 = t.valid_window
         if not (w0 <= -need and need <= w1):

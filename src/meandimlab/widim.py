@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsys import ConfigurationError, OrbitWindow, SystemSpec, bowen_dist
+from .dynsys import ConfigurationError, SystemSpec, bowen_dmat, sup_dmat
 
 
 class ResolutionError(RuntimeError):
@@ -616,15 +616,7 @@ def widim_orbit(
     seed: int = 0,
 ) -> int:
     """Sample-relative Widim_eps(X, d_n) from bucketed orbit windows."""
-    if n < 1:
-        raise ConfigurationError("horizon must be >= 1")
-    if len(samples) < 1:
-        raise ConfigurationError("need at least one sample")
-    S = len(samples)
-    dmat = np.zeros((S, S))
-    for i in range(S):
-        for j in range(i + 1, S):
-            dmat[i, j] = dmat[j, i] = bowen_dist(samples[i], samples[j], n)
+    dmat = bowen_dmat(samples, n)
     if dmat.max() <= eps:
         return 0
     space = CellSpace.from_samples(dmat, max_diam=eps / 4, adj_tol=eps / 8)
@@ -715,6 +707,15 @@ def pattern_series(system: SystemSpec, horizons, eps: float) -> dict[int, int]:
 # sequence-space metrics (images of the factor maps)
 
 
+def seq_pad(eps: float, decay: float, amp: float = 2.0) -> int:
+    """Window slack of the sequence-space Bowen metric at eps: the least pad
+    with amp * decay^pad < eps/16, so coordinates beyond it are negligible."""
+    pad = 0
+    while amp * decay**pad >= eps / 16.0:
+        pad += 1
+    return pad
+
+
 def seq_bowen_dmat(
     seqs: np.ndarray, lo: int, n: int, decay: float, eps: float, amp: float = 2.0
 ) -> np.ndarray:
@@ -722,29 +723,20 @@ def seq_bowen_dmat(
 
     seqs[k] holds coordinates lo..lo+L-1 of the k-th point; coordinate j is
     weighted by decay^(distance of j to [0, n-1]).  The windows must extend
-    far enough that the discarded tail stays below eps/16.
+    ``seq_pad`` beyond [0, n-1], so the discarded tail stays below eps/16.
     """
     seqs = np.asarray(seqs, dtype=np.float64)
     if seqs.ndim != 2:
         raise ConfigurationError("seqs must be (samples, window)")
     L = seqs.shape[1]
     js = lo + np.arange(L)
-    pad = 0
-    while amp * decay**pad >= eps / 16:
-        pad += 1
+    pad = seq_pad(eps, decay, amp)
     if lo > -pad or lo + L - 1 < n - 1 + pad:
         raise ResolutionError(
             f"sequence windows must cover [{-pad}, {n - 1 + pad}] for eps={eps}"
         )
     gap = np.maximum(0, np.maximum(-js, js - (n - 1)))
-    w = decay**gap
-    S = seqs.shape[0]
-    dmat = np.zeros((S, S))
-    for i in range(S):
-        d = np.abs(seqs[i + 1 :] - seqs[i]) * w
-        if len(d):
-            dmat[i, i + 1 :] = dmat[i + 1 :, i] = d.max(axis=1)
-    return dmat
+    return sup_dmat(seqs, decay**gap)
 
 
 # ---------------------------------------------------------------------------

@@ -115,3 +115,9 @@ def test_products_cli(tmp_path, capsys):
     rows = (tmp_path / "factors.csv").read_text().strip().splitlines()
     assert len(rows) == 3  # header + two factors
     assert main(["products", "--count", "9"]) == 2
+
+
+def test_flags_only_on_subcommands_that_read_them():
+    with pytest.raises(SystemExit) as exc:
+        main(["marker", "--mode", "exact"])
+    assert exc.value.code == 2

@@ -10,10 +10,12 @@ from meandimlab.dynsys import (
     SystemSpec,
     WindowExhaustionError,
     bowen_dist,
+    bowen_dmat,
     circle_block,
     dist,
     make_point,
     sample_points,
+    sup_dmat,
 )
 
 SPEC = SystemSpec(D=1, window_radius=64)
@@ -129,6 +131,45 @@ def test_bowen_shift_weights():
     y = make_point(SPEC, cube=arr2, circle=0.0)
     assert bowen_dist(x, y, 1) == pytest.approx(0.5 * SPEC.decay**3, abs=1e-12)
     assert bowen_dist(x, y, 4) == pytest.approx(0.5, abs=1e-12)
+
+
+def _bowen_pair_loop(points, n):
+    return np.array([[bowen_dist(a, b, n) for b in points] for a in points])
+
+
+@pytest.mark.parametrize("D", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_bowen_dmat_equals_bowen_dist(D, n):
+    pool = sample_points(SystemSpec(D=D), 6, seed=10 * D + n)
+    pool += [pool[0].shifted(4), pool[3].shifted(-7), pool[1]]
+    assert np.array_equal(bowen_dmat(pool, n), _bowen_pair_loop(pool, n))
+
+
+def test_bowen_dmat_raises_like_bowen_dist():
+    pts = sample_points(SPEC, 2, seed=1)
+    short = pts[0].shifted(40)  # stored data ends at symbol 24
+    other = sample_points(SystemSpec(D=2), 1, seed=1)[0]
+    cases = [
+        ([pts[1], short], 1, WindowExhaustionError),
+        ([pts[0], other], 1, ConfigurationError),
+        (pts, 0, ConfigurationError),
+    ]
+    for points, n, err in cases:
+        with pytest.raises(err) as ref:
+            bowen_dist(*points, n)
+        with pytest.raises(err) as got:
+            bowen_dmat(points, n)
+        assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_sup_dmat_matches_pair_loop(weighted):
+    rng = np.random.default_rng(3)
+    rows = rng.random((7, 11))
+    w = rng.random(11) if weighted else np.ones(11)
+    ref = np.array([[np.max(np.abs(a - b) * w) for b in rows] for a in rows])
+    assert np.array_equal(sup_dmat(rows, w if weighted else None), ref)
+    assert np.array_equal(sup_dmat(np.zeros((3, 0))), np.zeros((3, 3)))
 
 
 def test_sampling_determinism_and_stats():

@@ -15,12 +15,20 @@ from meandimlab.checks import (
     FIBER_WIDTH,
     PAIR_SEPARATION,
 )
-from meandimlab.dynsys import ConfigurationError, SystemSpec, sample_points
+from meandimlab.dynsys import (
+    ConfigurationError,
+    OrbitWindow,
+    SystemSpec,
+    bowen_dist,
+    sample_points,
+)
 from meandimlab.fibre import (
     FiberError,
     FiberReport,
     FMap,
     FMapConstruction,
+    _dmat_widim_upper,
+    _pairwise_atom_dmat,
     build_fmap,
     check_fiber_bound,
     check_nerve_transfer,
@@ -118,6 +126,19 @@ def test_delta_transfer_values():
     assert delta_transfer_of(s, W, 1.5) == pytest.approx(1.0)
     # no pair of atom centers is 1.8 apart on this grid
     assert delta_transfer_of(s, W, 1.8) == np.inf
+
+
+def test_delta_transfer_matches_pair_loop():
+    s = CellSpace.cube_grid(2, 5)
+    P = np.random.default_rng(4).random((s.n_atoms, 4))
+    D = _pairwise_atom_dmat(s)
+    gaps = [
+        np.abs(P[i] - P[j]).max()
+        for i in range(s.n_atoms)
+        for j in range(s.n_atoms)
+        if D[i, j] >= 1.0
+    ]
+    assert gaps and delta_transfer_of(s, P, 1.0) == min(gaps)
 
 
 def test_check_nerve_transfer():
@@ -284,6 +305,33 @@ def test_chain_probe_records(chain_report):
         assert size >= 1          # a probe always sits in its own fiber
         assert blocks >= 1        # and matches at least one oracle block
         assert wid == 0 and ratio == 0.0
+
+
+def test_chain_multi_member_fibers_match_bowen_reference(suite):
+    mspec, tparams, sparams = suite
+    p = sample_points(SYS, 4, seed=11)
+    # images read only the circle coordinate (marker, tiling, hash oracle),
+    # so repeats land in the fiber of their original, and a segment of
+    # constant cubes spaced below eps/8 at p[2]'s circle point gives a fiber
+    # of width 1
+    segment = [
+        OrbitWindow(SYS, np.full_like(p[2].cube, t), p[2].circle_num)
+        for t in np.linspace(0.0, 0.6, 21)
+    ]
+    pool = p + p[:2] + segment
+    report = fiber_width_chain(
+        pool, mspec, tparams, sparams, hash_oracle,
+        eps=0.25, horizon=3, delta=0.5, probe_count=len(pool), seed=7,
+    )
+    ref = np.array([[bowen_dist(a, b, 3) for b in pool] for a in pool])
+    rows = list(report.rows())
+    assert sorted(r[0] for r in rows) == list(range(len(pool)))
+    for index, size, blocks, wid, ratio in rows:
+        members = [j for j, y in enumerate(pool) if y.circle_num == pool[index].circle_num]
+        assert size == len(members) and blocks >= size
+        assert wid == _dmat_widim_upper(ref[np.ix_(members, members)], 0.25)
+        assert ratio == wid / 3
+    assert {(r[1], r[3]) for r in rows} == {(1, 0), (2, 0), (22, 1)}
 
 
 def test_chain_deterministic(suite):

@@ -16,7 +16,6 @@ from meandimlab.pipeline import (
     StarMap,
     _clustered_space,
     _freudenthal_carrier,
-    _seq_pad,
     _star_transfer,
     band_suite,
     hurewicz_report,
@@ -101,11 +100,6 @@ def test_star_map_validation():
         StarMap(system=SYS, eps_half=1.0, n_horizon=5, m=13)
     with pytest.raises(ConfigurationError):
         StarMap(system=SYS, eps_half=0.125, n_horizon=0, m=13)
-
-
-def test_seq_pad():
-    assert _seq_pad(0.25, 0.5) == 8
-    assert _seq_pad(0.5, 0.5) == 7
 
 
 def test_star_transfer_vacuous_on_single_point():

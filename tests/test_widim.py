@@ -27,6 +27,7 @@ from meandimlab.widim import (
     pattern_series,
     sample_space_from_dmat,
     seq_bowen_dmat,
+    seq_pad,
     simplex_carrier_size,
     staircase_cover,
     tau_for,
@@ -411,6 +412,11 @@ def test_simplex_carrier_size_bound(coords):
 
 # ---------------------------------------------------------------------------
 # sequence-space metrics
+
+
+def test_seq_pad():
+    assert seq_pad(0.25, 0.5) == 8
+    assert seq_pad(0.5, 0.5) == 7
 
 
 def test_seq_bowen_dmat_constant_rows():
