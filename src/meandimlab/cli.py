@@ -1,6 +1,8 @@
 """Command-line front end.
 
-One subcommand per stage plus the end-to-end runners:
+One subcommand per stage plus the end-to-end runners.  A stage subcommand
+runs the pipeline's own stage function and prints the pipeline's lines for
+that stage, then the stage's info:
 
     marker    resolve the marker scales and sanity-check one instance
     tile      run the tiling suite on sampled instances
@@ -18,30 +20,23 @@ broke mid-run, 2 the configuration was rejected.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ExperimentConfig, default_config, load_config, resolve
-from .dynsys import ConfigurationError, sample_points
-from .fibre import FMapConstruction, build_fmap, check_fiber_bound, check_nerve_transfer, verify_fiber_bound
-from .marker import check_coverage, check_separation, gap_histogram, marker_sequence, support_window_for
+from .config import ExperimentConfig, default_config, load_config
+from .dynsys import ConfigurationError
 from .pipeline import (
     PipelineError,
-    StarMap,
-    _clustered_space,
-    _counts,
-    band_suite,
-    hurewicz_report,
-    phi_suite,
+    report_lines,
     run_pipeline,
     run_products,
-    tiling_suite,
+    run_stage,
+    stage_lines,
+    write_artifacts,
     write_report,
 )
-from .signal import SignalParams
 from .widim import CellSpace, min_multiplicity
 
 
@@ -65,21 +60,20 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "report":
             p.add_argument("--config", metavar="PATH", help="experiment config JSON")
             p.add_argument("--seed", type=int, default=None, help="override the seed")
-        if name not in ("marker", "fmap", "verify"):
+        if name not in ("marker", "phi", "fmap", "verify"):
             p.add_argument("--out", metavar="DIR", default=None, help="output directory")
-        if name in ("phi", "widim"):
+        if name == "widim":
             p.add_argument(
                 "--mode",
                 choices=("exact", "greedy"),
                 default="greedy",
                 help="cover search mode of the width computation",
             )
-        if name == "products":
-            p.add_argument("--count", type=int, default=2, help="number of factors (1..4)")
-        if name == "widim":
             p.add_argument("--eps", type=float, default=0.9)
             p.add_argument("--cells", type=int, default=10)
             p.add_argument("--dim-max", type=int, default=3)
+        if name == "products":
+            p.add_argument("--count", type=int, default=2, help="number of factors (1..4)")
     return parser
 
 
@@ -97,81 +91,22 @@ def _emit(lines) -> None:
         print(line)
 
 
-def _cmd_marker(args) -> int:
-    config = _config_for(args)
-    res = resolve(config)
-    mspec = res.mspec
-    x = sample_points(config.system, 1, config.seed)[0]
-    lo, hi = support_window_for(mspec, -4 * mspec.M1, 4 * mspec.M1)
-    seq = marker_sequence(mspec, x, lo, hi)
-    ok_sep, wit_sep = check_separation(seq)
-    ok_cov, wit_cov = check_coverage(seq)
-    print(f"M = {mspec.M}, M1 = {mspec.M1}, arc radius = {mspec.arc_radius}")
-    print(f"[{'PASS' if ok_sep else 'FAIL'}] marker-separation"
-          + ("" if ok_sep else f": witness {wit_sep}"))
-    print(f"[{'PASS' if ok_cov else 'FAIL'}] marker-coverage"
-          + ("" if ok_cov else f": witness {wit_cov}"))
-    hist = gap_histogram(seq)
-    for gap, count in sorted(hist.items()):
-        print(f"  gap {gap}: {count}")
-    return 0 if ok_sep and ok_cov else 1
+def _write(out_dir, docs: dict, tables: dict) -> None:
+    written = write_artifacts(out_dir, docs, tables)
+    print(f"wrote {', '.join(written)} to {out_dir}/")
 
 
-def _cmd_tile(args) -> int:
+_STAGE_OF = {"marker": "marker", "tile": "tiling", "phi": "phi", "fmap": "fmap"}
+
+
+def _cmd_stage(args) -> int:
     config = _config_for(args)
-    res = resolve(config)
-    counts = _counts(config.sample_count)
-    suites, t0 = tiling_suite(
-        res.mspec, res.tparams, counts["tile_samples"], seed=config.seed
-    )
-    results = [s.result() for s in suites.values()]
-    _emit(r.line() for r in results)
+    stage = run_stage(config, _STAGE_OF[args.command])
+    _emit(stage_lines(stage.to_json()))
+    _emit(f"{key} = {value}" for key, value in stage.info.items())
     if config.out_dir:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "tiling.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["label", "lo", "hi"])
-            for n, a, b in zip(t0.labels, t0.lo, t0.hi):
-                w.writerow([int(n), float(a), float(b)])
-        print(f"wrote {out / 'tiling.csv'}")
-    return 0 if all(r.passed for r in results) else 1
-
-
-def _cmd_phi(args) -> int:
-    config = _config_for(args)
-    res = resolve(config)
-    counts = _counts(config.sample_count)
-    suites, sep_res, est = phi_suite(
-        res.mspec,
-        res.tparams,
-        res.sparams,
-        counts["signal_samples"],
-        counts["n_signal"],
-        eps=config.eps,
-        seed=config.seed + 1,
-        mode=args.mode,
-    )
-    results = [s.result() for s in suites.values()] + [sep_res]
-    _emit(r.line() for r in results)
-    print(f"free fraction max = {est['free_fraction_max']:.6g}")
-    print(f"image width estimate at eps={config.eps}: {est['z_width']['value']:.6g}")
-    if config.out_dir:
-        from .signal import FactorImage, _phi_profile, factor_context
-
-        x = sample_points(config.system, 1, config.seed + 1)[0]
-        ctx = factor_context(
-            x, res.mspec, res.tparams, res.sparams, (0, counts["n_signal"] - 1)
-        )
-        fimg = FactorImage(window=ctx.window, phi_seq=_phi_profile(ctx, res.sparams))
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "phi_trace.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "phi", "g"])
-            w.writerows(fimg.rows())
-        print(f"wrote {out / 'phi_trace.csv'}")
-    return 0 if all(r.passed for r in results) else 1
+        _write(config.out_dir, {}, stage.tables)
+    return 0 if all(c.passed for c in stage.checks) else 1
 
 
 def _cmd_widim(args) -> int:
@@ -187,53 +122,19 @@ def _cmd_widim(args) -> int:
             f"certified_lower = {lower} ({args.mode}{', ' + res.flag if res.flag else ''})"
         )
     if config.out_dir:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "widim.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["dim", "widim_upper", "certified_lower", "flag"])
-            w.writerows(rows)
-        print(f"wrote {out / 'widim.csv'}")
+        header = ["dim", "widim_upper", "certified_lower", "flag"]
+        _write(config.out_dir, {}, {"widim": (header, rows)})
     return 0
 
 
-def _cmd_fmap(args) -> int:
-    config = _config_for(args)
-    res = resolve(config)
-    counts = _counts(config.sample_count)
-    space = _clustered_space(
-        config.system,
-        counts["fmap_bases"],
-        res.numbers.n_horizon,
-        config.eps,
-        config.seed + 2,
-    )
-    fmap = build_fmap(
-        space,
-        config.eps,
-        res.numbers.m,
-        construction=FMapConstruction.SEARCHED_PL,
-        budget=64,
-        seed=config.seed + 2,
-        horizon=res.numbers.n_horizon,
-    )
-    rep = verify_fiber_bound(fmap, space, config.eps, probe_count=40, seed=config.seed + 2)
-    checks = (check_fiber_bound(rep), check_nerve_transfer(fmap))
-    print(
-        f"atoms = {space.n_atoms}, vertices = {fmap.nerve.n_vertices}, "
-        f"nerve dim = {fmap.nerve.dimension}, bound = {fmap.bound:.6g}"
-    )
-    _emit(c.line() for c in checks)
-    return 0 if all(c.passed for c in checks) else 1
-
-
-def _cmd_pipeline(args) -> int:
+def _cmd_run(args) -> int:
     config = _config_for(args)
     report = run_pipeline(config)
     _emit(report.lines())
-    out_dir = config.out_dir or "out"
-    written = write_report(report, out_dir)
-    print(f"wrote {', '.join(written)} to {out_dir}/")
+    if args.command == "pipeline":
+        out_dir = config.out_dir or "out"
+        written = write_report(report, out_dir)
+        print(f"wrote {', '.join(written)} to {out_dir}/")
     return 0 if report.passed else 1
 
 
@@ -242,27 +143,7 @@ def _cmd_products(args) -> int:
     report = run_products(config, args.count)
     _emit(report.lines())
     if config.out_dir:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "products.json", "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(out / "factors.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "eps", "delta", "n_window", "bound_term", "M", "M1", "m", "delta_prime"])
-            for f in report.factors:
-                w.writerow(
-                    [f.k, f.eps, f.delta, f.n_window, f.bound_term,
-                     f.params["M"], f.params["M1"], f.params["m"], f.params["delta_prime"]]
-                )
-        print(f"wrote products.json, factors.csv to {out}/")
-    return 0 if report.passed else 1
-
-
-def _cmd_verify(args) -> int:
-    config = _config_for(args)
-    report = run_pipeline(config)
-    _emit(report.lines())
+        _write(config.out_dir, {"products": report.to_json()}, report.tables)
     return 0 if report.passed else 1
 
 
@@ -278,28 +159,20 @@ def _cmd_report(args) -> int:
         raise ConfigurationError(f"no report at {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"report is not valid JSON: {exc}") from exc
-    for stage in doc.get("stages", ()):
-        for c in stage.get("checks", ()):
-            tag = "PASS" if c.get("passed") else "FAIL"
-            print(f"{stage['name']:<12}[{tag}] {c['id']}: {c.get('detail', '')}")
-    verdict = (doc.get("comparison") or {}).get("verdict")
-    if verdict is not None:
-        print(f"{'comparison':<12}verdict: {verdict}")
-    passed = bool(doc.get("passed"))
-    print(f"{'overall':<12}{'PASS' if passed else 'FAIL'}")
+    _emit(report_lines(doc))
     print(f"generated at {doc.get('generated_at')}")
-    return 0 if passed else 1
+    return 0 if doc.get("passed") else 1
 
 
 _COMMANDS = {
-    "marker": _cmd_marker,
-    "tile": _cmd_tile,
-    "phi": _cmd_phi,
+    "marker": _cmd_stage,
+    "tile": _cmd_stage,
+    "phi": _cmd_stage,
     "widim": _cmd_widim,
-    "fmap": _cmd_fmap,
-    "pipeline": _cmd_pipeline,
+    "fmap": _cmd_stage,
+    "pipeline": _cmd_run,
     "products": _cmd_products,
-    "verify": _cmd_verify,
+    "verify": _cmd_run,
     "report": _cmd_report,
 }
 

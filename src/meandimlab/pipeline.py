@@ -7,10 +7,11 @@ data, and emits a reproducible report.  The per-lemma suite runners
 parameters so the same code drives both the pipeline (small sample counts)
 and the heavier standalone acceptance suites.
 
-Stage order: parameters -> marker -> tiling -> phi -> fmap -> band ->
-fiber -> comparison.  A ConfigurationError anywhere propagates with the
-stage name prefixed (still a configuration error); a violated runtime
-invariant is wrapped into PipelineError carrying the stage and witness.
+Stage order (STAGES, then the comparison): parameters -> marker -> tiling
+-> phi -> fmap -> band -> fiber -> comparison.  A ConfigurationError
+anywhere propagates with the stage name prefixed (still a configuration
+error); a violated runtime invariant is wrapped into PipelineError carrying
+the stage and witness.
 """
 from __future__ import annotations
 
@@ -329,7 +330,6 @@ def phi_suite(
     budget: float | None = None,
     z_horizons=range(3, 9),
     z_windows: int = 64,
-    mode: str = "greedy",
 ) -> tuple[dict[str, CheckSuite], CheckResult, dict]:
     """Profile-cap, plateau and separation checks over sampled phi windows
     of length N, plus the image-width estimate.
@@ -368,7 +368,7 @@ def phi_suite(
             series[int(h)] = 0
         else:
             space = sample_space_from_dmat(dmat, eps)
-            series[int(h)] = min_multiplicity(space, eps, mode=mode).widim_upper
+            series[int(h)] = min_multiplicity(space, eps).widim_upper
     est = mdim_estimate(series, eps)
     sep_report, sep_res = separation_report(mspec, tparams, sparams)
     estimates = {
@@ -443,14 +443,55 @@ def _clustered_space(
 
 
 # ---------------------------------------------------------------------------
-# the pipeline
+# reports and artifacts
 
 
 @dataclass(frozen=True)
 class StageReport:
+    """One stage's checks and info, as written to report.json, plus the CSV
+    tables and the run-level estimates it contributes (not written in the
+    stage's own entry)."""
+
     name: str
     checks: tuple[CheckResult, ...]
     info: dict
+    tables: dict = field(repr=False, default_factory=dict)
+    estimates: dict = field(repr=False, default_factory=dict)
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "checks": [
+                {
+                    "id": c.check_id,
+                    "passed": bool(c.passed),
+                    "detail": c.detail,
+                    "witness": None if c.witness is None else str(c.witness),
+                }
+                for c in self.checks
+            ],
+            "info": self.info,
+        }
+
+
+def stage_lines(stage: dict) -> list[str]:
+    """One console line per check of a stage entry of a report document."""
+    out = []
+    for c in stage.get("checks", ()):
+        line = f"{stage['name']:<12}[{'PASS' if c.get('passed') else 'FAIL'}] {c['id']}"
+        out.append(f"{line}: {c['detail']}" if c.get("detail") else line)
+    return out
+
+
+def report_lines(doc: dict) -> list[str]:
+    """Console rendering of a report document: the check lines of every
+    stage, the comparison verdict and the overall status."""
+    out = [line for stage in doc.get("stages", ()) for line in stage_lines(stage)]
+    verdict = (doc.get("comparison") or {}).get("verdict")
+    if verdict is not None:
+        out.append(f"{'comparison':<12}verdict: {verdict}")
+    out.append(f"{'overall':<12}{'PASS' if doc.get('passed') else 'FAIL'}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -477,22 +518,7 @@ class PipelineReport:
             "config": self.config,
             "params": self.params,
             "truncations": self.truncations,
-            "stages": [
-                {
-                    "name": s.name,
-                    "checks": [
-                        {
-                            "id": c.check_id,
-                            "passed": bool(c.passed),
-                            "detail": c.detail,
-                            "witness": None if c.witness is None else str(c.witness),
-                        }
-                        for c in s.checks
-                    ],
-                    "info": s.info,
-                }
-                for s in self.stages
-            ],
+            "stages": [s.to_json() for s in self.stages],
             "estimates": self.estimates,
             "comparison": self.comparison,
             "passed": self.passed,
@@ -500,39 +526,47 @@ class PipelineReport:
         }
 
     def lines(self) -> list[str]:
-        out = []
-        for s in self.stages:
-            for c in s.checks:
-                out.append(f"{s.name:<12}{c.line()}")
-        verdict = self.comparison.get("verdict")
-        if verdict is not None:
-            out.append(f"{'comparison':<12}verdict: {verdict}")
-        out.append(f"{'overall':<12}{'PASS' if self.passed else 'FAIL'}")
-        return out
+        return report_lines(self.to_json())
 
 
-def write_report(report: PipelineReport, out_dir) -> list[str]:
-    """report.json plus the per-stage CSV tables; returns written names."""
+def write_artifacts(out_dir, docs: dict, tables: dict) -> list[str]:
+    """Write each {name: document} as name.json (sorted keys, indent 2) and
+    each {name: (header, rows)} table as name.csv under out_dir; returns the
+    written file names in that order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written = ["report.json"]
-    with open(out / "checks.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stage", "check", "passed", "detail"])
-        for s in report.stages:
-            for c in s.checks:
-                w.writerow([s.name, c.check_id, int(c.passed), c.detail])
-    written.append("checks.csv")
-    for name, (header, rows) in report.tables.items():
+    written = []
+    for name, doc in docs.items():
+        with open(out / f"{name}.json", "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        written.append(f"{name}.json")
+    for name, (header, rows) in tables.items():
         with open(out / f"{name}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(rows)
         written.append(f"{name}.csv")
     return written
+
+
+def write_report(report: PipelineReport, out_dir) -> list[str]:
+    """report.json plus the per-stage CSV tables; returns written names."""
+    checks = (
+        ["stage", "check", "passed", "detail"],
+        [(s.name, c.check_id, int(c.passed), c.detail) for s in report.stages for c in s.checks],
+    )
+    return write_artifacts(
+        out_dir, {"report": report.to_json()}, {"checks": checks, **report.tables}
+    )
+
+
+# ---------------------------------------------------------------------------
+# the pipeline stages
+#
+# Every stage is a function (resolved, counts, seed) -> StageReport over the
+# resolved parameters alone, so the pipeline and a single-stage command run
+# the same code.
 
 
 def _counts(sample_count: int) -> dict:
@@ -547,90 +581,119 @@ def _counts(sample_count: int) -> dict:
     }
 
 
-def run_pipeline(config: ExperimentConfig) -> PipelineReport:
-    """The full verification chain on one configuration.
+def _results(suites: dict[str, CheckSuite]) -> tuple[CheckResult, ...]:
+    return tuple(s.result() for s in suites.values())
 
-    Executes marker construction, the tiling suite, the [0,2]-signal
-    checks, the sampled block-map demonstration, the band-coordinate
-    checks, the fiber chain, and the dimension comparison; every stage
-    contributes PASS/FAIL lines keyed by check id.
-    """
-    counts = _counts(config.sample_count)
-    seed = config.seed
-    tables: dict = {}
 
-    numbers = _stage("parameters", lambda: select_factor_numbers(config))
-    mspec = _stage("marker", lambda: resolve_marker(config, numbers))
+def _star_map(resolved: ResolvedParams, seed: int) -> StarMap:
+    nums = resolved.numbers
+    return StarMap(
+        system=resolved.config.system,
+        eps_half=nums.eps_half,
+        n_horizon=nums.n_horizon,
+        m=nums.m,
+        seed=seed,
+    )
 
-    def marker_stage():
-        x = sample_points(config.system, 1, seed)[0]
-        lo, hi = support_window_for(mspec, -4 * mspec.M1, 4 * mspec.M1)
-        seq = marker_sequence(mspec, x, lo, hi)
-        ok, wit = marker_separation_check(seq)
-        if not ok:
-            raise PipelineError("marker", f"marker returns closer than M at {wit}", wit)
-        ok, wit = marker_gap_check(seq)
-        if not ok:
-            raise PipelineError("marker", f"marker gap above M1 at {wit}", wit)
-        hist = gap_histogram(seq)
-        return {
+
+def parameters_stage(resolved: ResolvedParams, counts: dict, seed: int) -> StageReport:
+    nums = resolved.numbers
+    return StageReport(
+        "parameters",
+        (),
+        {
+            "n_horizon": nums.n_horizon,
+            "m": nums.m,
+            "delta_prime": nums.delta_prime,
+            "r": nums.r,
+            "c": nums.c,
+            "mdim_half_upper": nums.mdim_half_upper,
+        },
+    )
+
+
+def marker_stage(resolved: ResolvedParams, counts: dict, seed: int) -> StageReport:
+    """Return gaps of one sampled marker sequence; a return closer than M or
+    a gap above M1 raises PipelineError with the offending time."""
+    mspec = resolved.mspec
+    x = sample_points(resolved.config.system, 1, seed)[0]
+    lo, hi = support_window_for(mspec, -4 * mspec.M1, 4 * mspec.M1)
+    seq = marker_sequence(mspec, x, lo, hi)
+    ok, wit = marker_separation_check(seq)
+    if not ok:
+        raise PipelineError("marker", f"marker returns closer than M at {wit}", wit)
+    ok, wit = marker_gap_check(seq)
+    if not ok:
+        raise PipelineError("marker", f"marker gap above M1 at {wit}", wit)
+    hist = gap_histogram(seq)
+    return StageReport(
+        "marker",
+        (),
+        {
             "M": mspec.M,
             "M1": mspec.M1,
             "arc_radius": str(mspec.arc_radius),
             "inner_radius": str(mspec.inner_radius),
             "return_gaps": {str(k): int(v) for k, v in sorted(hist.items())},
-        }
-
-    marker_info = _stage("marker", marker_stage)
-
-    tparams = _stage("tiling", lambda: resolve_tiling(numbers, mspec))
-    sparams = SignalParams.from_tiling(tparams, numbers.m, config.gamma_variant)
-    resolved = ResolvedParams(
-        config=config, numbers=numbers, mspec=mspec, tparams=tparams, sparams=sparams
+        },
     )
 
-    t_suites, t0 = _stage(
+
+def tiling_stage(resolved: ResolvedParams, counts: dict, seed: int) -> StageReport:
+    suites, t0 = tiling_suite(
+        resolved.mspec, resolved.tparams, counts["tile_samples"], seed=seed
+    )
+    return StageReport(
         "tiling",
-        lambda: tiling_suite(mspec, tparams, counts["tile_samples"], seed=seed),
-    )
-    window_radius = int(t0.valid_window[1])
-    tables["tiling"] = (
-        ["label", "lo", "hi"],
-        [
-            (int(n), float(a), float(b))
-            for n, a, b in zip(t0.labels, t0.lo, t0.hi)
-        ],
+        _results(suites),
+        {"samples": counts["tile_samples"], "window_radius": int(t0.valid_window[1])},
+        tables={
+            "tiling": (
+                ["label", "lo", "hi"],
+                [(int(n), float(a), float(b)) for n, a, b in zip(t0.labels, t0.lo, t0.hi)],
+            )
+        },
     )
 
-    p_suites, sep_res, phi_est = _stage(
+
+def phi_stage(resolved: ResolvedParams, counts: dict, seed: int) -> StageReport:
+    suites, sep_res, est = phi_suite(
+        resolved.mspec,
+        resolved.tparams,
+        resolved.sparams,
+        counts["signal_samples"],
+        counts["n_signal"],
+        eps=resolved.config.eps,
+        seed=seed + 1,
+    )
+    return StageReport(
         "phi",
-        lambda: phi_suite(
-            mspec,
-            tparams,
-            sparams,
-            counts["signal_samples"],
-            counts["n_signal"],
-            eps=config.eps,
-            seed=seed + 1,
-        ),
+        _results(suites) + (sep_res,),
+        {"samples": counts["signal_samples"], "N": counts["n_signal"]},
+        estimates=est,
     )
 
-    def fmap_stage():
-        space = _clustered_space(
-            config.system, counts["fmap_bases"], numbers.n_horizon, config.eps, seed + 2
-        )
-        fmap = build_fmap(
-            space,
-            config.eps,
-            numbers.m,
-            construction=FMapConstruction.SEARCHED_PL,
-            budget=64,
-            seed=seed + 2,
-            horizon=numbers.n_horizon,
-        )
-        rep = verify_fiber_bound(fmap, space, config.eps, probe_count=40, seed=seed + 2)
-        dt = fmap.delta_transfer
-        info = {
+
+def fmap_stage(resolved: ResolvedParams, counts: dict, seed: int) -> StageReport:
+    config, nums = resolved.config, resolved.numbers
+    space = _clustered_space(
+        config.system, counts["fmap_bases"], nums.n_horizon, config.eps, seed + 2
+    )
+    fmap = build_fmap(
+        space,
+        config.eps,
+        nums.m,
+        construction=FMapConstruction.SEARCHED_PL,
+        budget=64,
+        seed=seed + 2,
+        horizon=nums.n_horizon,
+    )
+    rep = verify_fiber_bound(fmap, space, config.eps, probe_count=40, seed=seed + 2)
+    dt = fmap.delta_transfer
+    return StageReport(
+        "fmap",
+        (check_fiber_bound(rep), check_nerve_transfer(fmap)),
+        {
             "construction": fmap.construction.value,
             "atoms": space.n_atoms,
             "n_vertices": fmap.nerve.n_vertices,
@@ -639,134 +702,135 @@ def run_pipeline(config: ExperimentConfig) -> PipelineReport:
             "flag": fmap.flag,
             "delta_transfer": float(dt) if math.isfinite(dt) else None,
             "max_ratio": float(rep.max_ratio),
-        }
-        return (check_fiber_bound(rep), check_nerve_transfer(fmap)), info
-
-    fmap_checks, fmap_info = _stage("fmap", fmap_stage)
-
-    F = StarMap(
-        system=config.system,
-        eps_half=numbers.eps_half,
-        n_horizon=numbers.n_horizon,
-        m=numbers.m,
-        seed=seed,
+        },
+        estimates={"fmap_max_ratio": float(rep.max_ratio)},
     )
-    b_suites, trace = _stage(
+
+
+def band_stage(resolved: ResolvedParams, counts: dict, seed: int) -> StageReport:
+    suites, trace = band_suite(
+        resolved.mspec,
+        resolved.tparams,
+        resolved.sparams,
+        _star_map(resolved, seed),
+        counts["signal_samples"],
+        counts["n_signal"],
+        seed=seed + 3,
+    )
+    worst = suites[BAND_SPARSITY].worst
+    return StageReport(
         "band",
-        lambda: band_suite(
-            mspec,
-            tparams,
-            sparams,
-            F,
-            counts["signal_samples"],
-            counts["n_signal"],
-            seed=seed + 3,
-        ),
-    )
-    tables["phi_trace"] = (["k", "phi", "g"], list(trace.rows()))
-
-    def fiber_stage():
-        pool = sample_points(config.system, counts["pool_size"], seed + 4)
-        chain = fiber_width_chain(
-            pool,
-            mspec,
-            tparams,
-            sparams,
-            F,
-            eps=config.eps,
-            horizon=numbers.n_horizon,
-            delta=resolved.fiber_bound,
-            probe_count=counts["probe_count"],
-            seed=seed + 4,
-        )
-        transfer = _star_transfer(pool, F, config.eps, numbers.n_horizon)
-        return chain, chain.checks + (transfer,)
-
-    chain, fiber_checks = _stage("fiber", fiber_stage)
-    tables["fibers"] = (
-        ["probe", "fiber_size", "blocks_matched", "widim_upper", "ratio"],
-        [
-            (int(i), int(s), int(b), int(w), float(r))
-            for i, s, b, w, r in chain.rows()
-        ],
+        _results(suites),
+        {"samples": counts["signal_samples"], "N": counts["n_signal"]},
+        tables={"phi_trace": (["k", "phi", "g"], list(trace.rows()))},
+        estimates={"band_sparsity_worst_margin": None if worst is None else float(worst)},
     )
 
+
+def fiber_stage(resolved: ResolvedParams, counts: dict, seed: int) -> StageReport:
+    config, horizon = resolved.config, resolved.numbers.n_horizon
+    F = _star_map(resolved, seed)
+    pool = sample_points(config.system, counts["pool_size"], seed + 4)
+    chain = fiber_width_chain(
+        pool,
+        resolved.mspec,
+        resolved.tparams,
+        resolved.sparams,
+        F,
+        eps=config.eps,
+        horizon=horizon,
+        delta=resolved.fiber_bound,
+        probe_count=counts["probe_count"],
+        seed=seed + 4,
+    )
+    transfer = _star_transfer(pool, F, config.eps, horizon)
+    return StageReport(
+        "fiber",
+        chain.checks + (transfer,),
+        {
+            "pool_size": counts["pool_size"],
+            "probes": len(chain.probes),
+            "K": chain.K,
+            "max_ratio": float(chain.max_ratio),
+            "target": float(resolved.fiber_bound),
+        },
+        tables={
+            "fibers": (
+                ["probe", "fiber_size", "blocks_matched", "widim_upper", "ratio"],
+                [
+                    (int(i), int(s), int(b), int(w), float(r))
+                    for i, s, b, w, r in chain.rows()
+                ],
+            )
+        },
+        estimates={
+            "fiber_max_ratio": float(chain.max_ratio),
+            "fiber_target": float(resolved.fiber_bound),
+        },
+    )
+
+
+STAGES = {
+    "parameters": parameters_stage,
+    "marker": marker_stage,
+    "tiling": tiling_stage,
+    "phi": phi_stage,
+    "fmap": fmap_stage,
+    "band": band_stage,
+    "fiber": fiber_stage,
+}
+
+
+def _resolve_staged(config: ExperimentConfig) -> ResolvedParams:
+    """config.resolve with each step under the name of the stage it feeds."""
+    numbers = _stage("parameters", lambda: select_factor_numbers(config))
+    mspec = _stage("marker", lambda: resolve_marker(config, numbers))
+    tparams = _stage("tiling", lambda: resolve_tiling(numbers, mspec))
+    sparams = SignalParams.from_tiling(tparams, numbers.m, config.gamma_variant)
+    return ResolvedParams(
+        config=config, numbers=numbers, mspec=mspec, tparams=tparams, sparams=sparams
+    )
+
+
+def _run_stage(name: str, resolved: ResolvedParams, counts: dict) -> StageReport:
+    return _stage(name, lambda: STAGES[name](resolved, counts, resolved.config.seed))
+
+
+def run_stage(config: ExperimentConfig, name: str) -> StageReport:
+    """One named stage of the chain, after the staged resolve, under the
+    pipeline's error policy."""
+    return _run_stage(name, _resolve_staged(config), _counts(config.sample_count))
+
+
+def run_pipeline(config: ExperimentConfig) -> PipelineReport:
+    """The full verification chain on one configuration.
+
+    Runs every stage of STAGES in order, then the dimension comparison;
+    every stage contributes PASS/FAIL lines keyed by check id.
+    """
+    counts = _counts(config.sample_count)
+    resolved = _resolve_staged(config)
+    stages = tuple(_run_stage(name, resolved, counts) for name in STAGES)
+    tables: dict = {}
+    estimates: dict = {}
+    for s in stages:
+        tables.update(s.tables)
+        estimates.update(s.estimates)
     comparison = _stage(
         "comparison",
         lambda: hurewicz_report(
             resolved,
-            z_estimate=phi_est["z_width"]["value"],
+            z_estimate=estimates["z_width"]["value"],
             n_signal=counts["n_signal"],
         ),
     )
-
-    z_horizons = [n for n, _ in phi_est["z_width"]["per_n"]]
-    stages = (
-        StageReport(
-            "parameters",
-            (),
-            {
-                "n_horizon": numbers.n_horizon,
-                "m": numbers.m,
-                "delta_prime": numbers.delta_prime,
-                "r": numbers.r,
-                "c": numbers.c,
-                "mdim_half_upper": numbers.mdim_half_upper,
-            },
-        ),
-        StageReport("marker", (), marker_info),
-        StageReport(
-            "tiling",
-            tuple(s.result() for s in t_suites.values()),
-            {"samples": counts["tile_samples"], "window_radius": window_radius},
-        ),
-        StageReport(
-            "phi",
-            tuple(s.result() for s in p_suites.values()) + (sep_res,),
-            {"samples": counts["signal_samples"], "N": counts["n_signal"]},
-        ),
-        StageReport("fmap", tuple(fmap_checks), fmap_info),
-        StageReport(
-            "band",
-            tuple(s.result() for s in b_suites.values()),
-            {"samples": counts["signal_samples"], "N": counts["n_signal"]},
-        ),
-        StageReport(
-            "fiber",
-            tuple(fiber_checks),
-            {
-                "pool_size": counts["pool_size"],
-                "probes": len(chain.probes),
-                "K": chain.K,
-                "max_ratio": float(chain.max_ratio),
-                "target": float(resolved.fiber_bound),
-            },
-        ),
-    )
-
-    estimates = {
-        "separation": phi_est["separation"],
-        "free_fraction_max": phi_est["free_fraction_max"],
-        "z_width": phi_est["z_width"],
-        "band_sparsity_worst_margin": (
-            None
-            if b_suites[BAND_SPARSITY].worst is None
-            else float(b_suites[BAND_SPARSITY].worst)
-        ),
-        "fiber_max_ratio": float(chain.max_ratio),
-        "fiber_target": float(resolved.fiber_bound),
-        "fmap_max_ratio": fmap_info["max_ratio"],
-    }
+    z_horizons = [n for n, _ in estimates["z_width"]["per_n"]]
+    tiling_info = next(s.info for s in stages if s.name == "tiling")
     truncations = {
         "horizon_cap": HORIZON_CAP,
-        "n_signal": counts["n_signal"],
-        "pool_size": counts["pool_size"],
-        "probe_count": counts["probe_count"],
-        "tile_samples": counts["tile_samples"],
-        "signal_samples": counts["signal_samples"],
-        "fmap_bases": counts["fmap_bases"],
+        **counts,
         "z_horizons": [min(z_horizons), max(z_horizons)],
-        "tiling_window_radius": window_radius,
+        "tiling_window_radius": tiling_info["window_radius"],
     }
     return PipelineReport(
         config=config_to_json(config),
@@ -849,6 +913,16 @@ class ProductReport:
             "generated_at": self.generated_at,
         }
 
+    @property
+    def tables(self) -> dict:
+        header = ["k", "eps", "delta", "n_window", "bound_term", "M", "M1", "m", "delta_prime"]
+        rows = [
+            (f.k, f.eps, f.delta, f.n_window, f.bound_term, f.params["M"], f.params["M1"],
+             f.params["m"], f.params["delta_prime"])
+            for f in self.factors
+        ]
+        return {"factors": (header, rows)}
+
     def lines(self) -> list[str]:
         out = []
         for f in self.factors:
@@ -907,13 +981,7 @@ def run_products(config: ExperimentConfig, count_factors: int) -> ProductReport:
         res = _stage(name, lambda sub=sub: resolve(sub))
         dp = res.numbers.delta_prime
         N_k = _stage(name, lambda: _factor_window(sub.delta, dp, res.numbers.m))
-        F = StarMap(
-            system=sub.system,
-            eps_half=res.numbers.eps_half,
-            n_horizon=res.numbers.n_horizon,
-            m=res.numbers.m,
-            seed=sub.seed,
-        )
+        F = _star_map(res, sub.seed)
 
         def factor_checks(res=res, sub=sub, F=F, N_k=N_k, dp=dp):
             sep_report, sep_res = separation_report(

@@ -1,9 +1,12 @@
 """Command-line surface: exit codes, artifacts, report rendering."""
 
+import contextlib
+import io
 import json
 
 import pytest
 
+from meandimlab import pipeline
 from meandimlab.cli import main
 from meandimlab.config import config_to_json, default_config, save_config
 
@@ -13,6 +16,19 @@ def config_file(tmp_path):
     path = tmp_path / "config.json"
     save_config(default_config(), path)
     return path
+
+
+def _edited_config(tmp_path, section, values):
+    """Path of the default config with one section updated."""
+    doc = config_to_json(default_config())
+    doc[section].update(values)
+    path = tmp_path / f"{section}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+SMALL_ARC = {"arc_radius": "1/400", "inner_radius": "1/800"}  # M = 144
+SHORT_WINDOW = {"window_radius": 4}
 
 
 def test_widim_calibration(capsys):
@@ -31,15 +47,42 @@ def test_widim_exact_certifies(capsys):
 
 def test_marker_subcommand(capsys, config_file):
     assert main(["marker", "--config", str(config_file)]) == 0
-    out = capsys.readouterr().out
-    assert "M = 2584, M1 = 5474" in out
-    assert "[PASS] marker-separation" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert "M = 2584" in lines
+    assert "M1 = 5474" in lines
+
+
+def test_marker_subcommand_exit_one_on_failed_gap_check(monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "marker_separation_check", lambda seq: (False, 17))
+    assert main(["marker"]) == 1
+    assert capsys.readouterr().err.startswith("lemma failure at marker")
+
+
+@pytest.fixture(scope="module")
+def verify_seed3_lines():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--seed", "3"]) == 0
+    return out.getvalue().splitlines()
+
+
+@pytest.mark.parametrize(
+    "command, stage", [("marker", "marker"), ("tile", "tiling"), ("phi", "phi"), ("fmap", "fmap")]
+)
+def test_stage_subcommand_prints_the_verify_lines(command, stage, capsys, verify_seed3_lines):
+    assert main([command, "--seed", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    expected = [line for line in verify_seed3_lines if line.split()[0] == stage]
+    assert out[: len(expected)] == expected
+    assert all(" = " in line for line in out[len(expected) :])  # the stage's info
 
 
 def test_tile_writes_csv(tmp_path, capsys):
-    assert main(["tile", "--out", str(tmp_path)]) == 0
-    header = (tmp_path / "tiling.csv").read_text().splitlines()[0]
-    assert header == "label,lo,hi"
+    assert main(["tile", "--out", str(tmp_path / "tile")]) == 0
+    assert main(["pipeline", "--out", str(tmp_path / "pipeline")]) == 0
+    written = (tmp_path / "tile" / "tiling.csv").read_bytes()
+    assert written.splitlines()[0] == b"label,lo,hi"
+    assert written == (tmp_path / "pipeline" / "tiling.csv").read_bytes()
 
 
 def test_pipeline_artifacts_and_report_rendering(tmp_path, capsys):
@@ -85,10 +128,7 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
     bad_schema.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(bad_schema)]) == 2
 
-    small_m = tmp_path / "small.json"
-    doc = config_to_json(default_config())
-    doc["marker"] = {"arc_center": "0", "arc_radius": "1/400", "inner_radius": "1/800"}
-    small_m.write_text(json.dumps(doc))
+    small_m = _edited_config(tmp_path, "marker", SMALL_ARC)
     assert main(["verify", "--config", str(small_m)]) == 2
     err = capsys.readouterr().err
     assert "tiling:" in err and "too small" in err
@@ -96,11 +136,20 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "missing")]) == 2
 
 
+def test_stage_subcommand_names_the_stage_of_a_config_error(tmp_path, capsys):
+    config = _edited_config(tmp_path, "marker", SMALL_ARC)
+    assert main(["tile", "--config", str(config)]) == 2
+    assert "tiling:" in capsys.readouterr().err
+
+
+def test_stage_subcommand_exit_one_on_runtime_failure(tmp_path, capsys):
+    config = _edited_config(tmp_path, "system", SHORT_WINDOW)
+    assert main(["fmap", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("lemma failure at fmap")
+
+
 def test_exit_one_on_runtime_failure(tmp_path, capsys):
-    doc = config_to_json(default_config())
-    doc["system"]["window_radius"] = 4
-    path = tmp_path / "short.json"
-    path.write_text(json.dumps(doc))
+    path = _edited_config(tmp_path, "system", SHORT_WINDOW)
     assert main(["verify", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("lemma failure at")
@@ -118,6 +167,7 @@ def test_products_cli(tmp_path, capsys):
 
 
 def test_flags_only_on_subcommands_that_read_them():
-    with pytest.raises(SystemExit) as exc:
-        main(["marker", "--mode", "exact"])
-    assert exc.value.code == 2
+    for argv in (["marker", "--mode", "exact"], ["phi", "--mode", "exact"], ["phi", "--out", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
