@@ -117,9 +117,14 @@ def _cmd_widim(args) -> int:
         res = min_multiplicity(space, args.eps, mode=args.mode, seed=config.seed)
         rows.append((dim, res.widim_upper, res.certified_lower, res.flag))
         lower = "-" if res.certified_lower is None else str(res.certified_lower)
+        notes = [args.mode]
+        if args.mode == "exact":
+            notes.append(f"{res.nodes} nodes")
+        if res.flag:
+            notes.append(res.flag)
         print(
             f"[-1,1]^{dim} grid {args.cells}: widim_upper = {res.widim_upper}, "
-            f"certified_lower = {lower} ({args.mode}{', ' + res.flag if res.flag else ''})"
+            f"certified_lower = {lower} ({', '.join(notes)})"
         )
     if config.out_dir:
         header = ["dim", "widim_upper", "certified_lower", "flag"]

@@ -201,6 +201,8 @@ class StarMap:
     n_horizon: int
     m: int
     seed: int = 0
+    # vertex key -> its draw; F stays a pure function of (seed, point)
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 2:
@@ -229,8 +231,11 @@ class StarMap:
         return pattern_cover_bound(self.system, self.n_horizon, self.eps_half) / self.m
 
     def _vertex_image(self, key: tuple) -> np.ndarray:
-        rng = np.random.default_rng([self.seed, self.m, *key])
-        return rng.random(self.m - 1)
+        image = self._images.get(key)
+        if image is None:
+            rng = np.random.default_rng([self.seed, self.m, *key])
+            image = self._images[key] = rng.random(self.m - 1)
+        return image
 
     def __call__(self, x: OrbitWindow) -> np.ndarray:
         tau = self.tau

@@ -438,51 +438,113 @@ class _Budget(Exception):
     pass
 
 
-def _search_cover(space, boxes, t, budget_left):
-    """Find a dictionary cover with vertex multiplicity <= t, or refute."""
-    counts = np.zeros(int(np.prod(_vertex_shape(space))), dtype=np.int32)
-    covered = np.zeros(space.n_atoms, dtype=np.int32)
-    atom_boxes = [[] for _ in range(space.n_atoms)]
-    for bi, (mask, _) in enumerate(boxes):
-        for a in np.nonzero(mask)[0]:
-            atom_boxes[a].append(bi)
+@dataclass(frozen=True)
+class _SearchIndex:
+    """Incidence lists of a box dictionary, built once for every t."""
+
+    box_atoms: tuple[tuple[int, ...], ...]
+    box_verts: tuple[tuple[int, ...], ...]
+    atom_boxes: tuple[tuple[int, ...], ...]
+    vert_boxes: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, boxes) -> "_SearchIndex":
+        box_atoms = tuple(tuple(np.nonzero(mask)[0].tolist()) for mask, _ in boxes)
+        box_verts = tuple(tuple(np.nonzero(vmask)[0].tolist()) for _, vmask in boxes)
+        atom_boxes = [[] for _ in range(len(boxes[0][0]))]
+        vert_boxes = [[] for _ in range(len(boxes[0][1]))]
+        for bi, (atoms, verts) in enumerate(zip(box_atoms, box_verts)):
+            for a in atoms:
+                atom_boxes[a].append(bi)
+            for v in verts:
+                vert_boxes[v].append(bi)
+        return cls(
+            box_atoms,
+            box_verts,
+            tuple(map(tuple, atom_boxes)),
+            tuple(map(tuple, vert_boxes)),
+        )
+
+
+def _search_cover(index: _SearchIndex, t: int, budget_left) -> list[int] | None:
+    """Find a dictionary cover with vertex multiplicity <= t, or refute;
+    returns the chosen box ids.
+
+    Depth first: branch on the first open atom with at most one candidate
+    box (none refutes the node), else on the first open atom with the
+    fewest, trying its candidates by descending count of open atoms they
+    contain.  A box is a candidate while none of its vertices has count t.
+    Per-box blocked-vertex and open-atom counts and per-atom candidate
+    counts are updated on push and pop, only where a vertex count crosses t
+    or an atom opens or closes.
+    """
+    box_atoms, box_verts = index.box_atoms, index.box_verts
+    atom_boxes, vert_boxes = index.atom_boxes, index.vert_boxes
+    n_atoms = len(atom_boxes)
+    counts = [0] * len(vert_boxes)
+    covered = [0] * n_atoms
+    blocked = [0] * len(box_atoms)
+    n_cand = [len(bs) for bs in atom_boxes]
+    n_open = [len(atoms) for atoms in box_atoms]
+
+    def push(bi):
+        for v in box_verts[bi]:
+            counts[v] += 1
+            if counts[v] == t:
+                for b in vert_boxes[v]:
+                    blocked[b] += 1
+                    if blocked[b] == 1:
+                        for a in box_atoms[b]:
+                            n_cand[a] -= 1
+        for a in box_atoms[bi]:
+            covered[a] += 1
+            if covered[a] == 1:
+                for b in atom_boxes[a]:
+                    n_open[b] -= 1
+
+    def pop(bi):
+        for a in box_atoms[bi]:
+            covered[a] -= 1
+            if covered[a] == 0:
+                for b in atom_boxes[a]:
+                    n_open[b] += 1
+        for v in box_verts[bi]:
+            if counts[v] == t:
+                for b in vert_boxes[v]:
+                    blocked[b] -= 1
+                    if blocked[b] == 0:
+                        for a in box_atoms[b]:
+                            n_cand[a] += 1
+            counts[v] -= 1
 
     def dfs():
         budget_left[0] -= 1
         if budget_left[0] < 0:
             raise _Budget
-        open_atoms = np.nonzero(covered == 0)[0]
-        if len(open_atoms) == 0:
+        best = -1
+        for a in range(n_atoms):
+            if covered[a]:
+                continue
+            if n_cand[a] <= 1:
+                if n_cand[a] == 0:
+                    return None
+                best = a
+                break
+            if best < 0 or n_cand[a] < n_cand[best]:
+                best = a
+        if best < 0:
             return []
-        best_cand = None
-        for a in open_atoms:
-            cand = [
-                bi
-                for bi in atom_boxes[a]
-                if int(counts[boxes[bi][1]].max()) < t
-            ]
-            if not cand:
-                return None
-            if best_cand is None or len(cand) < len(best_cand):
-                best_cand = cand
-                if len(cand) == 1:
-                    break
-        best_cand.sort(key=lambda bi: -int((boxes[bi][0] & (covered == 0)).sum()))
-        for bi in best_cand:
-            mask, vmask = boxes[bi]
-            counts[vmask] += 1
-            covered[mask] += 1
+        cand = [bi for bi in atom_boxes[best] if not blocked[bi]]
+        cand.sort(key=lambda bi: -n_open[bi])
+        for bi in cand:
+            push(bi)
             sub = dfs()
             if sub is not None:
                 return [bi] + sub
-            counts[vmask] -= 1
-            covered[mask] -= 1
+            pop(bi)
         return None
 
-    chosen = dfs()
-    if chosen is None:
-        return None
-    return [np.nonzero(boxes[bi][0])[0] for bi in chosen]
+    return dfs()
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +633,13 @@ def _exact_mode(space: CellSpace, eps: float, budget: int, dictionary: str) -> W
         boxes = _subset_dictionary(space, eps)
     else:
         raise ConfigurationError(f"unknown dictionary {dictionary!r}")
+    index = _SearchIndex.of(boxes)
     seed_cover = _prune_redundant(staircase_cover(space, eps))
     _, upper_mult = cover_stats(seed_cover)
     budget_left = [budget]
     for t in range(1, upper_mult + 1):
         try:
-            found = _search_cover(space, boxes, t, budget_left)
+            found = _search_cover(index, t, budget_left)
         except _Budget:
             return WidimResult(
                 upper_mult - 1,
@@ -589,7 +652,8 @@ def _exact_mode(space: CellSpace, eps: float, budget: int, dictionary: str) -> W
             )
         if found is not None:
             cover = CellCover(
-                space=space, elements=tuple(frozenset(map(int, e)) for e in found)
+                space=space,
+                elements=tuple(frozenset(index.box_atoms[bi]) for bi in found),
             )
             mesh, mult = cover_stats(cover)
             return WidimResult(

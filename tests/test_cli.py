@@ -40,9 +40,11 @@ def test_widim_calibration(capsys):
 
 
 def test_widim_exact_certifies(capsys):
-    assert main(["widim", "--mode", "exact", "--dim-max", "1", "--cells", "8"]) == 0
-    out = capsys.readouterr().out
-    assert "certified_lower = 1" in out
+    assert main(["widim", "--mode", "exact", "--dim-max", "2", "--cells", "6"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "[-1,1]^1 grid 6: widim_upper = 1, certified_lower = 1 (exact, 7 nodes)",
+        "[-1,1]^2 grid 6: widim_upper = 2, certified_lower = 2 (exact, 2155 nodes)",
+    ]
 
 
 def test_marker_subcommand(capsys, config_file):

@@ -93,6 +93,20 @@ def test_star_map_deterministic_and_bounded():
     assert not np.array_equal(a, G(x))
 
 
+def test_star_map_vertex_memo_is_transparent():
+    # the second pass over the points reads every vertex draw from the memo
+    xs = list(sample_points(SYS, 12, seed=7))
+    F = StarMap(system=SYS, eps_half=0.125, n_horizon=3, m=5, seed=2)
+    reused = [F(x) for x in xs + xs]
+    fresh = [
+        StarMap(system=SYS, eps_half=0.125, n_horizon=3, m=5, seed=2)(x)
+        for x in xs + xs
+    ]
+    assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
+    assert F._images
+    assert F == StarMap(system=SYS, eps_half=0.125, n_horizon=3, m=5, seed=2)
+
+
 def test_star_map_validation():
     with pytest.raises(ConfigurationError):
         StarMap(system=SYS, eps_half=0.125, n_horizon=5, m=1)
@@ -281,8 +295,14 @@ def test_hurewicz_default_violated(default_report):
     assert comp["fiber_side"] == pytest.approx(12 / 65)
     assert comp["right_side"] < 0.48
     assert comp["verdict"] == "violated"
-    assert comp["certificate"]["certified_lower"] == 2
-    assert comp["certificate"]["n_horizon"] == 2
+    assert comp["certificate"] == {
+        "grid_dim": 2,
+        "cells": 6,
+        "eps": 0.9,
+        "certified_lower": 2,
+        "n_horizon": 2,
+        "flag": "",
+    }
 
 
 def test_hurewicz_zero_dimensional_cube():

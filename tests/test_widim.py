@@ -33,6 +33,15 @@ from meandimlab.widim import (
     tau_for,
     widim_orbit,
 )
+from meandimlab.widim import (
+    _box_dictionary,
+    _Budget,
+    _prune_redundant,
+    _search_cover,
+    _SearchIndex,
+    _subset_dictionary,
+    _vertex_shape,
+)
 
 SYS = SystemSpec()
 
@@ -237,7 +246,7 @@ def test_widim_square_exact():
     s = CellSpace.cube_grid(2, 6)
     res = min_multiplicity(s, 0.9, mode="exact")
     assert res.widim_upper == 2 and res.certified_lower == 2
-    assert res.nodes > 0 and res.flag == ""
+    assert res.nodes == 2155 and res.flag == ""
 
 
 def test_exact_budget_exhaustion_degrades_to_upper_only():
@@ -245,6 +254,103 @@ def test_exact_budget_exhaustion_degrades_to_upper_only():
     res = min_multiplicity(s, 0.9, mode="exact", budget=50)
     assert res.widim_upper == 2  # staircase fallback
     assert res.certified_lower is None and res.flag == "upper-only"
+
+
+def _reference_search_cover(space, boxes, t, budget_left):
+    """Find a dictionary cover with vertex multiplicity <= t, or refute."""
+    counts = np.zeros(int(np.prod(_vertex_shape(space))), dtype=np.int32)
+    covered = np.zeros(space.n_atoms, dtype=np.int32)
+    atom_boxes = [[] for _ in range(space.n_atoms)]
+    for bi, (mask, _) in enumerate(boxes):
+        for a in np.nonzero(mask)[0]:
+            atom_boxes[a].append(bi)
+
+    def dfs():
+        budget_left[0] -= 1
+        if budget_left[0] < 0:
+            raise _Budget
+        open_atoms = np.nonzero(covered == 0)[0]
+        if len(open_atoms) == 0:
+            return []
+        best_cand = None
+        for a in open_atoms:
+            cand = [
+                bi
+                for bi in atom_boxes[a]
+                if int(counts[boxes[bi][1]].max()) < t
+            ]
+            if not cand:
+                return None
+            if best_cand is None or len(cand) < len(best_cand):
+                best_cand = cand
+                if len(cand) == 1:
+                    break
+        best_cand.sort(key=lambda bi: -int((boxes[bi][0] & (covered == 0)).sum()))
+        for bi in best_cand:
+            mask, vmask = boxes[bi]
+            counts[vmask] += 1
+            covered[mask] += 1
+            sub = dfs()
+            if sub is not None:
+                return [bi] + sub
+            counts[vmask] -= 1
+            covered[mask] -= 1
+        return None
+
+    chosen = dfs()
+    if chosen is None:
+        return None
+    return [np.nonzero(boxes[bi][0])[0] for bi in chosen]
+
+
+def _t_loop(search, space, eps, budget):
+    """The exact mode's loop over t: per-t outcomes and nodes used."""
+    upper = cover_stats(_prune_redundant(staircase_cover(space, eps)))[1]
+    budget_left = [budget]
+    outcomes = []
+    for t in range(1, upper + 1):
+        try:
+            found = search(t, budget_left)
+        except _Budget:
+            outcomes.append("budget")
+            break
+        outcomes.append(found)
+        if found is not None:
+            break
+    return outcomes, budget - budget_left[0]
+
+
+@pytest.mark.parametrize(
+    "dim, cells, eps, dictionary, budget",
+    [
+        (1, 8, 0.9, "boxes", 200_000),
+        (2, 4, 0.9, "boxes", 200_000),
+        (2, 5, 0.9, "boxes", 200_000),
+        (2, 6, 0.9, "boxes", 200_000),
+        (1, 12, 0.5, "boxes", 200_000),
+        (1, 8, 0.9, "atoms", 200_000),
+        (2, 6, 0.9, "boxes", 50),
+        (2, 6, 0.9, "boxes", 2000),
+    ],
+)
+def test_search_cover_matches_reference(dim, cells, eps, dictionary, budget):
+    # same outcome per t, same chosen boxes in order, same node count
+    space = CellSpace.cube_grid(dim, cells)
+    build = _box_dictionary if dictionary == "boxes" else _subset_dictionary
+    boxes = build(space, eps)
+    box_id = {tuple(np.nonzero(mask)[0]): bi for bi, (mask, _) in enumerate(boxes)}
+
+    def reference(t, budget_left):
+        found = _reference_search_cover(space, boxes, t, budget_left)
+        return None if found is None else [box_id[tuple(e)] for e in found]
+
+    index = _SearchIndex.of(boxes)
+    got = _t_loop(lambda t, left: _search_cover(index, t, left), space, eps, budget)
+    assert got == _t_loop(reference, space, eps, budget)
+    outcomes, _ = got
+    # every case ends in a cover, except the two cut-off budgets
+    assert (outcomes[-1] == "budget") == (budget < 200_000)
+    assert outcomes[-1] is not None
 
 
 def test_exact_mode_guards():
