@@ -32,15 +32,14 @@ from .checks import (
     CheckResult,
 )
 from .dynsys import ConfigurationError, bowen_dmat, sup_dmat
-from .marker import MarkerSpec, marker_sequence, support_window_for
+from .marker import MarkerSpec
 from .signal import (
+    FactorContext,
     SignalParams,
-    _g_profile,
-    _phi_profile,
     admissible_recovery_starts,
     factor_context,
+    factor_image,
     separation_report,
-    signal_pad,
 )
 from .tiling import TilingParams, good_tile, slice_tiling
 from .widim import (
@@ -447,15 +446,12 @@ class FiberChainReport:
             yield (p.index, p.fiber_size, p.blocks_matched, p.widim_upper, p.ratio)
 
 
-def _certify_lookback(x, mspec, tparams, sparams, window) -> None:
-    """Re-derive the central tile for x; fails if it escapes [-K, K]."""
-    pad = signal_pad(sparams)
-    twin = (window[0] - pad, window[1] + pad)
-    s_lo, s_hi = support_window_for(mspec, twin[0], twin[1])
-    seq = marker_sequence(mspec, x, s_lo, s_hi)
-    t_base = slice_tiling(seq, tparams, tparams.H, twin)
-    t_deep = slice_tiling(seq, tparams, tparams.cH, twin)
-    good_tile(t_base, t_deep, tparams)
+def _certify_lookback(ctx: FactorContext, tparams: TilingParams) -> None:
+    """Re-derive the central tile of a member's context; fails if it
+    escapes [-K, K].  Only the depth-cH slice is new: the marker data and
+    the depth-H slice over the same padded window are the context's."""
+    t_deep = slice_tiling(ctx.seq, tparams, tparams.cH, ctx.tiling.valid_window)
+    good_tile(ctx.tiling, t_deep, tparams)
 
 
 def _pair_separation_check(mspec, tparams, sparams) -> CheckResult:
@@ -500,15 +496,15 @@ def fiber_width_chain(
         raise ConfigurationError("need at least one probe")
     window = (-K, K + m - 2)
 
-    ctxs, g_rows, phi_rows = [], [], []
-    for x in pool:
-        ctx = factor_context(x, mspec, tparams, sparams, window)
-        ctxs.append(ctx)
-        phi_rows.append(_phi_profile(ctx, sparams))
-        g_rows.append(_g_profile(ctx, F_oracle, sparams))
-    G = np.stack(g_rows)
+    ctxs = [factor_context(x, mspec, tparams, sparams, window) for x in pool]
+    # image rows are filled in place: one copy of each window, not two
+    G = np.empty((len(pool), window[1] - window[0] + 1))
+    PHI = np.empty_like(G)
+    for j, ctx in enumerate(ctxs):
+        fimg = factor_image(ctx, sparams, F_oracle)
+        G[j], PHI[j] = fimg.g_seq, fimg.phi_seq
     # pool points j, k share a thickened fiber iff close[j, k]
-    close = np.maximum(sup_dmat(G), sup_dmat(np.stack(phi_rows))) <= tol
+    close = np.maximum(sup_dmat(G), sup_dmat(PHI)) <= tol
     bowen = bowen_dmat(pool, horizon)
 
     rng = np.random.default_rng([seed, len(pool), probe_count])
@@ -520,7 +516,7 @@ def fiber_width_chain(
     def member_starts(j: int) -> np.ndarray:
         starts = starts_cache.get(j)
         if starts is None:
-            _certify_lookback(pool[j], mspec, tparams, sparams, window)
+            _certify_lookback(ctxs[j], tparams)
             starts = admissible_recovery_starts(ctxs[j], sparams)
             starts = starts[(starts >= -K) & (starts <= K)]
             starts_cache[j] = starts

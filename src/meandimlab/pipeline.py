@@ -84,14 +84,13 @@ from .signal import (
     FactorImage,
     SignalError,
     SignalParams,
-    _g_profile,
-    _phi_profile,
     check_band_recovery,
     check_band_sparsity,
     check_band_support,
     check_plateau_budget,
     check_profile_cap,
     factor_context,
+    factor_image,
     plateau_report,
     separation_report,
 )
@@ -356,10 +355,10 @@ def phi_suite(
     free_max = 0.0
     for x in sample_points(mspec.system, samples, seed):
         ctx = factor_context(x, mspec, tparams, sparams, (0, N - 1))
-        fimg = FactorImage(window=ctx.window, phi_seq=_phi_profile(ctx, sparams))
+        fimg = factor_image(ctx, sparams)
         res = check_profile_cap(fimg, ctx, sparams)
         suites[PROFILE_CAP].add(res.passed, witness=res.witness)
-        free, _blocks = plateau_report(fimg, ctx.tiling, N, sparams)
+        free, _blocks = plateau_report(ctx, fimg, sparams)
         free_max = max(free_max, free)
         res = check_plateau_budget(free, budget)
         suites[PLATEAU_BUDGET].add(res.passed, margin=budget - free)
@@ -408,11 +407,7 @@ def band_suite(
     first = None
     for x in sample_points(mspec.system, samples, seed):
         ctx = factor_context(x, mspec, tparams, sparams, (0, N - 1))
-        fimg = FactorImage(
-            window=ctx.window,
-            phi_seq=_phi_profile(ctx, sparams),
-            g_seq=_g_profile(ctx, F_oracle, sparams),
-        )
+        fimg = factor_image(ctx, sparams, F_oracle)
         if first is None:
             first = fimg
         count = int(np.count_nonzero(fimg.g_seq))
@@ -994,15 +989,9 @@ def run_products(config: ExperimentConfig, count_factors: int) -> ProductReport:
             )
             checks = [sep_res]
             for x in sample_points(sub.system, 2, sub.seed):
-                ctx = factor_context(
-                    x, res.mspec, res.tparams, res.sparams, (0, N_k - 1)
-                )
-                fimg = FactorImage(
-                    window=ctx.window,
-                    phi_seq=_phi_profile(ctx, res.sparams),
-                    g_seq=_g_profile(ctx, F, res.sparams),
-                )
-                free, _ = plateau_report(fimg, ctx.tiling, N_k, res.sparams)
+                ctx = factor_context(x, res.mspec, res.tparams, res.sparams, (0, N_k - 1))
+                fimg = factor_image(ctx, res.sparams, F)
+                free, _ = plateau_report(ctx, fimg, res.sparams)
                 checks.append(check_plateau_budget(free, dp))
                 checks.append(check_band_sparsity(fimg, dp, N_k))
             return sep_report, tuple(checks)

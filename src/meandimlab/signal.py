@@ -12,6 +12,11 @@ Two scalar observables are read off the tiling around each integer time:
   output.
 
 The pair pi = (I_g, Phi) is the factor map the verification harness probes.
+
+Each sample window is derived once: ``factor_context`` keeps its marker
+sequence, its depth-H tiling and, per coordinate k, the owning label n,
+the boundary distance and gamma(n - k).  ``factor_image`` turns it into
+the phi and g windows; plateau report, checks and fibre lookback read it.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from .checks import (
     CheckResult,
 )
 from .dynsys import ConfigurationError, OrbitWindow
-from .marker import MarkerSpec, marker_sequence, pick_z_zprime, support_window_for
-from .tiling import IntervalTiling, TilingParams, slice_tiling
+from .marker import MarkerSequence, MarkerSpec, marker_sequence, pick_z_zprime, support_window_for
+from .tiling import COVER_TOL, IntervalTiling, TilingParams, slice_tiling
 
 
 class SignalError(RuntimeError):
@@ -148,23 +153,37 @@ class FactorImage:
 
 @dataclass(frozen=True)
 class FactorContext:
-    """One tiling shared by every per-coordinate signal evaluation."""
+    """One window's tiling and every per-coordinate quantity read off it;
+    images, checks and the fibre lookback read these, never re-derive them."""
 
     x: OrbitWindow
-    tiling: IntervalTiling
+    seq: MarkerSequence  # marker data under the padded tiling window
+    tiling: IntervalTiling  # depth-H slice over the padded window
     ks: np.ndarray  # int64 coordinates of the requested window
     owners: np.ndarray  # int64 tile label owning each coordinate
     dist: np.ndarray  # float64 distance to the tiling boundary
+    gam: np.ndarray  # float64 label weight gamma(owner - k)
 
     @property
     def window(self) -> tuple[int, int]:
         return int(self.ks[0]), int(self.ks[-1])
 
+    @classmethod
+    def over(cls, x, seq, tiling, window, sparams: SignalParams) -> "FactorContext":
+        """Owners, boundary distances and label weights of window's coordinates."""
+        ks = np.arange(window[0], window[1] + 1, dtype=np.int64)
+        owners = _owners_of(tiling, ks)
+        dist = tiling.dist_to_boundary(ks.astype(np.float64))
+        gam = gamma(owners - ks, sparams.gamma_variant)
+        return cls(x, seq, tiling, ks, owners, dist, gam)
+
 
 def _owners_of(tiling: IntervalTiling, ks: np.ndarray) -> np.ndarray:
+    # a function of its own, so the lookup's temporaries are freed before
+    # the distance and weight passes over the same window
     pos = ks.astype(np.float64)
     idx = np.searchsorted(tiling.lo, pos, side="right") - 1
-    if len(idx) and (idx.min() < 0 or np.any(pos > tiling.hi[idx] + 1e-9)):
+    if idx.min() < 0 or np.any(pos > tiling.hi[idx] + COVER_TOL):
         raise SignalError("coordinate fell in an uncovered gap of the tiling")
     return tiling.labels[idx]
 
@@ -181,7 +200,8 @@ def factor_context(
     sparams: SignalParams,
     window: tuple[int, int],
 ) -> FactorContext:
-    """Marker sequence, tiling, owners and boundary distances for a window."""
+    """Marker sequence, tiling, owners, boundary distances and label weights
+    for a window."""
     if sparams.R != tparams.R:
         raise ConfigurationError(
             f"signal radius R={sparams.R} disagrees with tiling R={tparams.R}"
@@ -194,10 +214,7 @@ def factor_context(
     s_lo, s_hi = support_window_for(mspec, twin[0], twin[1])
     seq = marker_sequence(mspec, x, s_lo, s_hi)
     tiling = slice_tiling(seq, tparams, tparams.H, twin)
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-    owners = _owners_of(tiling, ks)
-    dist = tiling.dist_to_boundary(ks.astype(np.float64))
-    return FactorContext(x=x, tiling=tiling, ks=ks, owners=owners, dist=dist)
+    return FactorContext.over(x, seq, tiling, (k_lo, k_hi), sparams)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +239,6 @@ def h_value(tiling: IntervalTiling, sparams: SignalParams) -> float:
     )
 
 
-def _phi_profile(ctx: FactorContext, sparams: SignalParams) -> np.ndarray:
-    rel = ctx.owners - ctx.ks
-    return np.minimum(ctx.dist, 1.0) + alpha_deep(ctx.dist, sparams.R) * gamma(
-        rel, sparams.gamma_variant
-    )
-
-
 def phi_map(
     x: OrbitWindow,
     mspec: MarkerSpec,
@@ -237,17 +247,11 @@ def phi_map(
     window: tuple[int, int],
 ) -> FactorImage:
     """Window of the [0,2]-valued factor coordinate k -> h(T^k x)."""
-    ctx = factor_context(x, mspec, tparams, sparams, window)
-    return FactorImage(window=ctx.window, phi_seq=_phi_profile(ctx, sparams))
+    return factor_image(factor_context(x, mspec, tparams, sparams, window), sparams)
 
 
 # ---------------------------------------------------------------------------
 # g and I_g
-
-
-def _block_start(t: int, owner: int, m: int) -> int:
-    """Largest s <= t congruent to the owner label modulo m-1."""
-    return t - ((t - owner) % (m - 1))
 
 
 def g_value(tiling: IntervalTiling, F_oracle, x: OrbitWindow, sparams: SignalParams) -> float:
@@ -270,14 +274,23 @@ def g_value(tiling: IntervalTiling, F_oracle, x: OrbitWindow, sparams: SignalPar
     return float(band * F[-a])
 
 
-def _g_profile(ctx: FactorContext, F_oracle, sparams: SignalParams) -> np.ndarray:
+def factor_image(ctx: FactorContext, sparams: SignalParams, F_oracle=None) -> FactorImage:
+    """The phi window of a context, plus its g window when given an oracle.
+
+    phi = min{dist, 1} + alpha_deep(dist) * gamma(n - k).  g reads the
+    oracle block of each collar time: inside a tile, times fall into
+    residue blocks of length m-1 and share one evaluation F(T^s x).
+    """
+    phi = np.minimum(ctx.dist, 1.0) + alpha_deep(ctx.dist, sparams.R) * ctx.gam
+    if F_oracle is None:
+        return FactorImage(window=ctx.window, phi_seq=phi)
     m = sparams.m
     band = alpha_band(ctx.dist, m)
     g = np.zeros(len(ctx.ks))
     cache: dict[int, np.ndarray] = {}
     for i in np.nonzero(band > 0.0)[0]:
         t = int(ctx.ks[i])
-        s = _block_start(t, int(ctx.owners[i]), m)
+        s = t - ((t - int(ctx.owners[i])) % (m - 1))  # block start of t
         F = cache.get(s)
         if F is None:
             F = np.asarray(F_oracle(ctx.x.shifted(s)), dtype=np.float64)
@@ -285,7 +298,7 @@ def _g_profile(ctx: FactorContext, F_oracle, sparams: SignalParams) -> np.ndarra
                 raise ConfigurationError(f"F oracle must produce {m - 1} coordinates")
             cache[s] = F
         g[i] = band[i] * F[t - s]
-    return g
+    return FactorImage(window=ctx.window, phi_seq=phi, g_seq=g)
 
 
 def pi_map(
@@ -297,12 +310,7 @@ def pi_map(
     window: tuple[int, int],
 ) -> FactorImage:
     """Both factor windows at once: k -> (g(T^k x), h(T^k x))."""
-    ctx = factor_context(x, mspec, tparams, sparams, window)
-    return FactorImage(
-        window=ctx.window,
-        phi_seq=_phi_profile(ctx, sparams),
-        g_seq=_g_profile(ctx, F_oracle, sparams),
-    )
+    return factor_image(factor_context(x, mspec, tparams, sparams, window), sparams, F_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -310,37 +318,30 @@ def pi_map(
 
 
 def plateau_report(
+    ctx: FactorContext,
     fimg: FactorImage,
-    tiling: IntervalTiling,
-    N: int,
     sparams: SignalParams,
 ) -> tuple[float, list[tuple[int, int, int]]]:
-    """Rigid blocks of a phi window over [0, N).
+    """Rigid blocks of the phi image of a context.
 
     A coordinate is rigid when it sits R/3-deep in its tile, where phi
     equals 1 + gamma(n - k) exactly.  Returns the fraction of free (non-
     rigid) coordinates and the maximal rigid blocks as (start, stop, label)
     with inclusive ends.
     """
-    if N < 1:
-        raise ConfigurationError("N must be positive")
-    lo, hi = fimg.window
-    if lo > 0 or hi < N - 1:
-        raise ConfigurationError("phi window does not cover [0, N)")
-    ks = np.arange(N, dtype=np.int64)
-    owners = _owners_of(tiling, ks)
-    d = tiling.dist_to_boundary(ks.astype(np.float64))
-    deep = d >= sparams.R / 3.0
-    phi = fimg.phi_seq[fimg.index(0) : fimg.index(N - 1) + 1]
-    cap = 1.0 + gamma(owners - ks, sparams.gamma_variant)
-    if np.any(np.abs(phi[deep] - cap[deep]) > 1e-12):
+    if fimg.window != ctx.window:
+        raise ConfigurationError("phi window differs from the context window")
+    deep = ctx.dist >= sparams.R / 3.0
+    cap = 1.0 + ctx.gam
+    if np.any(np.abs(fimg.phi_seq[deep] - cap[deep]) > 1e-12):
         raise SignalError("rigid coordinates disagree with the label profile")
     edges = np.diff(np.concatenate(([False], deep, [False])).astype(np.int8))
     starts = np.nonzero(edges == 1)[0]
     stops = np.nonzero(edges == -1)[0] - 1
-    blocks = [(int(a), int(b), int(owners[a])) for a, b in zip(starts, stops)]
+    ks, owners = ctx.ks, ctx.owners
+    blocks = [(int(ks[a]), int(ks[b]), int(owners[a])) for a, b in zip(starts, stops)]
     rigid_total = int(np.count_nonzero(deep))
-    return 1.0 - rigid_total / N, blocks
+    return 1.0 - rigid_total / len(ks), blocks
 
 
 def check_plateau_budget(free_fraction: float, budget: float) -> CheckResult:
@@ -368,9 +369,7 @@ def check_profile_cap(
     weight underflows and both branches agree to machine precision.
     """
     phi = fimg.phi_seq
-    rel = ctx.owners - ctx.ks
-    gam = gamma(rel, sparams.gamma_variant)
-    cap = 1.0 + gam
+    cap = 1.0 + ctx.gam
     over = phi - cap
     i = int(np.argmax(over))
     if over[i] > tol:
@@ -383,7 +382,7 @@ def check_profile_cap(
     deep = ctx.dist >= sparams.R / 3.0
     eq = np.abs(over) <= tol
     bad_deep = deep & ~eq
-    truegap = (1.0 - alpha_deep(ctx.dist, sparams.R)) * gam
+    truegap = (1.0 - alpha_deep(ctx.dist, sparams.R)) * ctx.gam
     bad_shallow = ~deep & eq & (truegap > 2 * tol)
     for bad, what in ((bad_deep, "deep point off the cap"), (bad_shallow, "shallow point on the cap")):
         if np.any(bad):

@@ -354,12 +354,36 @@ def test_chain_needs_a_pool(suite):
         )
 
 
+def test_chain_builds_one_marker_sequence_per_point(suite, monkeypatch):
+    """The lookback of a certified member reuses the member's context:
+    one marker sequence per pool point plus the separation pair."""
+    from meandimlab import fibre, marker, signal
+
+    mspec, tparams, sparams = suite
+    pool = sample_points(SYS, 5, seed=3)
+    calls = []
+    real = marker.marker_sequence
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (fibre, marker, signal):
+        if hasattr(mod, "marker_sequence"):
+            monkeypatch.setattr(mod, "marker_sequence", counting)
+    fiber_width_chain(
+        pool, mspec, tparams, sparams, hash_oracle,
+        eps=0.25, horizon=2, delta=0.5, probe_count=3, seed=1,
+    )
+    assert len(calls) == len(pool) + 2
+
+
 def test_chain_containment_failure_raises(suite):
     mspec, tparams, sparams = suite
     pool = sample_points(SYS, 4, seed=5)
 
     # count the oracle calls spent while the image windows are built
-    from meandimlab.signal import _g_profile, factor_context
+    from meandimlab.signal import factor_context, factor_image
 
     K = 2 * tparams.M1 + 2
     window = (-K, K + sparams.m - 2)
@@ -370,8 +394,7 @@ def test_chain_containment_failure_raises(suite):
         return hash_oracle(ow)
 
     for x in pool:
-        ctx = factor_context(x, mspec, tparams, sparams, window)
-        _g_profile(ctx, counting, sparams)
+        factor_image(factor_context(x, mspec, tparams, sparams, window), sparams, counting)
 
     # an oracle that turns inconsistent once block matching starts can be
     # matched by nothing: the chain must hard-fail, not shrug

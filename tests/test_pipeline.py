@@ -1,5 +1,6 @@
 """End-to-end runs: the block oracle, the suite runners, and the reports."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -227,6 +228,34 @@ def test_pipeline_report_files(default_report, tmp_path):
     assert len(lines) == n_checks + 1
     trace = (tmp_path / "phi_trace.csv").read_text().strip().splitlines()
     assert trace[0] == "k,phi,g" and len(trace) == 1001
+
+
+# Golden digests: SHA-256 of report.json without its generated_at line for
+# default_config(seed=s), and of run_products(default_config(seed=0), 2)
+# as sorted-key JSON without generated_at.  A refactor leaves them as they
+# are; a change that alters results on purpose re-pins them and says so.
+REPORT_SHA256 = {
+    0: "202d0f8ffaa2244659ba8769004036791ecb607f34b1b4a1f6a44f35774cc76d",
+    1: "f8316eecd5f12ea448d5401a5a7cf9300dda0ea02a7d5d9423eab3a69c49fcc9",
+    2: "654aed01a011d39638dc939e1351c48967ddb6fa0bb9f1acafbff6171f2fbdf1",
+}
+PRODUCTS_SHA256 = "3f212d2fc01f7051437fc6b4c82bc2c0aa1153b1a75fd655aa842091aed9fa17"
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_SHA256))
+def test_report_golden_digest(seed, default_report, tmp_path):
+    report = default_report if seed == 0 else run_pipeline(default_config(seed=seed))
+    write_report(report, tmp_path)
+    raw = (tmp_path / "report.json").read_bytes().splitlines(keepends=True)
+    body = b"".join(ln for ln in raw if b'"generated_at"' not in ln)
+    assert hashlib.sha256(body).hexdigest() == REPORT_SHA256[seed]
+
+
+def test_products_golden_digest():
+    doc = run_products(default_config(seed=0), 2).to_json()
+    doc.pop("generated_at")
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PRODUCTS_SHA256
 
 
 def test_pipeline_rejects_undersized_marker():

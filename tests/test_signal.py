@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from meandimlab.dynsys import ConfigurationError, SystemSpec, make_point, sample_points
 from meandimlab.marker import make_marker_spec, marker_sequence, support_window_for
 from meandimlab.signal import (
+    FactorContext,
     FactorImage,
     GammaVariant,
+    SignalError,
     SignalParams,
     admissible_recovery_starts,
     alpha_band,
@@ -23,6 +25,7 @@ from meandimlab.signal import (
     check_plateau_budget,
     check_profile_cap,
     factor_context,
+    factor_image,
     g_value,
     gamma,
     h_value,
@@ -234,8 +237,9 @@ def test_separation_pair(suite):
 def test_plateau_all_rigid():
     t = make_tiling([0], [-100.0], [100.0], (-100.0, 100.0))
     ks = np.arange(50)
+    ctx = FactorContext.over(None, None, t, (0, 49), SP9)
     fimg = FactorImage(window=(0, 49), phi_seq=1.0 + gamma(ks))
-    free, blocks = plateau_report(fimg, t, 50, SP9)
+    free, blocks = plateau_report(ctx, fimg, SP9)
     assert free == 0.0
     assert blocks == [(0, 49, 0)]
 
@@ -248,7 +252,9 @@ def test_plateau_short_tiles_have_none():
     d = t.dist_to_boundary(kk.astype(np.float64))
     owners = np.array([t.tile_at(float(k)) for k in kk])
     phi = np.minimum(d, 1.0) + alpha_deep(d, 9.0) * gamma(owners - kk)
-    free, blocks = plateau_report(FactorImage((0, 19), phi), t, 20, SP9)
+    ctx = FactorContext.over(None, None, t, (0, 19), SP9)
+    assert np.array_equal(ctx.owners, owners)
+    free, blocks = plateau_report(ctx, FactorImage((0, 19), phi), SP9)
     assert free == 1.0
     assert blocks == []
 
@@ -258,14 +264,36 @@ def test_plateau_real_instance(suite):
     x = sample_points(SYS, 1, seed=3)[0]
     N = 3000
     ctx = factor_context(x, mspec, tparams, sparams, (0, N - 1))
-    fimg = phi_map(x, mspec, tparams, sparams, (0, N - 1))
-    free, blocks = plateau_report(fimg, ctx.tiling, N, sparams)
+    fimg = factor_image(ctx, sparams)
+    assert np.array_equal(fimg.phi_seq, phi_map(x, mspec, tparams, sparams, (0, N - 1)).phi_seq)
+    free, blocks = plateau_report(ctx, fimg, sparams)
     assert blocks, "expected rigid blocks on a marker-driven window"
     assert free == 1.0 - sum(b - a + 1 for a, b, _ in blocks) / N
     assert 0.0 < free < tparams.delta
     res = check_plateau_budget(free, tparams.delta)
     assert res.passed, res.line()
     assert not check_plateau_budget(1.0, tparams.delta).passed
+
+
+def test_plateau_rejects_nudged_rigid_coordinate(suite):
+    """Negative control: phi off the cap at one R/3-deep coordinate."""
+    mspec, tparams, sparams = suite
+    x = sample_points(SYS, 1, seed=3)[0]
+    ctx = factor_context(x, mspec, tparams, sparams, (0, 999))
+    fimg = factor_image(ctx, sparams)
+    plateau_report(ctx, fimg, sparams)
+    phi = fimg.phi_seq.copy()
+    phi[int(np.argmax(ctx.dist >= sparams.R / 3.0))] += 1e-9
+    with pytest.raises(SignalError, match="rigid coordinates disagree"):
+        plateau_report(ctx, FactorImage(fimg.window, phi), sparams)
+
+
+def test_owner_lookup_rejects_uncovered_gap():
+    """Negative control: coordinate 0 falls between two tiles."""
+    t = make_tiling([-10, 10], [-20.0, 1.0], [-1.0, 20.0], (-20.0, 20.0))
+    FactorContext.over(None, None, t, (-19, -1), SP9)
+    with pytest.raises(SignalError, match="uncovered gap"):
+        FactorContext.over(None, None, t, (-3, 3), SP9)
 
 
 # ---------------------------------------------------------------------------
