@@ -87,8 +87,9 @@ def circle_block(spec: SystemSpec, base_num: int, k0: int, count: int) -> np.nda
     while done < count:
         n = min(chunk, count - done)
         anchor = (base_num + (k0 + done) * p) % q  # exact Python int
-        ks = np.arange(n, dtype=np.int64)
-        out[done : done + n] = (anchor + ks * p) % q
+        seg = out[done : done + n]  # (anchor + k*p) % q, built in place
+        seg[:] = np.arange(n, dtype=np.int64)
+        np.remainder(np.add(np.multiply(seg, p, out=seg), anchor, out=seg), q, out=seg)
         done += n
     return out
 

@@ -7,6 +7,14 @@ first return time of the outer arc to itself; M1-1 is the first window
 half-length whose rotation orbit is dense enough that every circle point
 visits the inner arc.  Both are computed by exact integer arithmetic on the
 q-grid, so the reported constants are not estimates.
+
+The three-distance theorem (Slater 1950, Sos 1958) does the heavy lifting:
+the gaps of n consecutive orbit points and the return times of the rotation
+to an arc each take at most three values, read off the continued fraction
+of theta = p/q in O(log q) integer steps.  So the coverage test behind M1
+costs O(log q) per horizon, and ``marker_sequence`` walks from visit to
+visit in O(visits) instead of evaluating phi on every time of its window.
+``phi_profile`` keeps the O(window) evaluation as the reference.
 """
 from __future__ import annotations
 
@@ -20,11 +28,13 @@ from .dynsys import (
     OrbitWindow,
     SystemSpec,
     WindowExhaustionError,
+    circle_block,
     make_point,
 )
 
 _M_SEARCH_CAP = 10**8
 _M1_SEARCH_CAP = 10**8
+_SCAN_BLOCK = 1 << 16
 
 
 class MarkerConstructionError(RuntimeError):
@@ -75,54 +85,42 @@ class MarkerSpec:
         return _frac_num2(self.system, self.inner_radius)
 
 
-def _phi_and_t2(spec: MarkerSpec, x: OrbitWindow, lo: int, hi: int):
-    """phi values plus the clamped arc distances in half-grid units.
-
-    The clamped distance t2eff = max(t2, inner2) determines phi on the
-    support exactly: phi = (outer2 - t2eff) / (outer2 - inner2).  Carrying
-    the integer t2eff lets downstream height arithmetic avoid cancellation.
-    """
-    sys_ = spec.system
-    nums = x.circle_nums(lo, hi)
-    d = (nums - spec.center_num) % sys_.q
-    t2 = 2 * np.minimum(d, sys_.q - d)  # arc distance in half-grid units
+def _phi_of_t2(spec: MarkerSpec, t2: np.ndarray) -> np.ndarray:
+    """phi from arc distances in half-grid units: exactly 1.0 on the inner
+    arc, exactly 0.0 outside the open outer arc, a float ramp between."""
     inner2, outer2 = spec.inner_num2, spec.outer_num2
     out = np.zeros(len(t2))
     out[t2 <= inner2] = 1.0
     ramp = (t2 > inner2) & (t2 < outer2)
     if ramp.any():
         out[ramp] = (outer2 - t2[ramp]) / float(outer2 - inner2)
-    return out, np.maximum(t2, inner2)
+    return out
 
 
 def phi_profile(spec: MarkerSpec, x: OrbitWindow, lo: int, hi: int) -> np.ndarray:
-    """phi(T^k x) for k = lo..hi, vectorized and exact at the endpoints:
-    values are exactly 1.0 on the inner arc and exactly 0.0 outside the
-    open outer arc; the ramp region is evaluated in floats."""
-    return _phi_and_t2(spec, x, lo, hi)[0]
+    """phi(T^k x) for k = lo..hi, evaluated at every time of the window.
+
+    The O(window) reference for ``marker_sequence``'s visit walk."""
+    sys_ = spec.system
+    d0 = (x.circle_numerator(lo) - spec.center_num) % sys_.q
+    d = circle_block(sys_, d0, 0, hi - lo + 1)  # offsets from the arc center
+    np.minimum(d, sys_.q - d, out=d)
+    return _phi_of_t2(spec, np.multiply(d, 2, out=d))
 
 
 def phi_eval(spec: MarkerSpec, x: OrbitWindow) -> float:
     return float(phi_profile(spec, x, 0, 0)[0])
 
 
-def phi_lipschitz_constant(spec: MarkerSpec) -> float:
-    """Slope of the ramp: |phi(c1)-phi(c2)| <= slope * arcdist(c1,c2)."""
-    return float(2 * spec.system.q / (spec.outer_num2 - spec.inner_num2))
-
-
 def compute_M(system: SystemSpec, arc_radius: Fraction) -> int:
     """Smallest k >= 1 with arcdist(k*theta, 0) <= 2*arc_radius, by exact
     blockwise scan.  The arc returns to itself exactly at such k."""
-    q, p = system.q, system.p
+    q = system.q
     two_r4 = 2 * _frac_num2(system, arc_radius)  # 2*radius in half-grid units
-    block = 1 << 16
     k0 = 1
     while k0 <= _M_SEARCH_CAP:
-        n = min(block, _M_SEARCH_CAP - k0 + 1)
-        anchor = (k0 * p) % q
-        ks = np.arange(n, dtype=np.int64)
-        d = (anchor + ks * p) % q
+        n = min(_SCAN_BLOCK, _M_SEARCH_CAP - k0 + 1)
+        d = circle_block(system, 0, k0, n)
         d = np.minimum(d, q - d)
         hits = np.nonzero(2 * d <= two_r4)[0]
         if len(hits):
@@ -133,15 +131,36 @@ def compute_M(system: SystemSpec, arc_radius: Fraction) -> int:
     )
 
 
-def _max_gap_ok(system: SystemSpec, N: int, inner2: int) -> bool:
-    """True iff the sorted points {k*theta mod 1 : |k| <= N} have every
-    circular gap < 2*inner_radius (exact integer comparison)."""
-    from .dynsys import circle_block
+def max_orbit_gap(system: SystemSpec, n: int) -> int:
+    """Largest circular gap, in 1/q units, of the n >= 1 orbit points
+    {k*theta : 0 <= k < n}, in O(log q) integer steps.
 
-    pos = np.sort(circle_block(system, 0, -N, 2 * N + 1))
-    gaps = np.diff(pos)
-    wrap = pos[0] + system.q - pos[-1]
-    worst = max(int(gaps.max(initial=0)), int(wrap))
+    Three-distance theorem: with eta_{-1} = q, eta_0 = p, q_{-1} = 0,
+    q_0 = 1 and the continued-fraction recursions eta_{k+1} = eta_{k-1} -
+    a_{k+1} eta_k, q_{k+1} = a_{k+1} q_k + q_{k-1}, take the k with
+    q_k + q_{k-1} <= n < q_{k+1} + q_k and r = (n - q_{k-1}) // q_k; the
+    largest gap is eta_{k-1} - (r-1) eta_k.  Once eta_k = 0 the orbit has
+    closed up and every gap is one grid step.
+    """
+    if n < 1:
+        raise ConfigurationError("need at least one orbit point")
+    eta_prev, eta = system.q, system.p
+    q_prev, q_k = 0, 1
+    while eta > 0:
+        a = eta_prev // eta
+        q_next = a * q_k + q_prev
+        if n < q_next + q_k:
+            break
+        eta_prev, eta = eta, eta_prev - a * eta
+        q_prev, q_k = q_k, q_next
+    r = (n - q_prev) // q_k
+    return eta_prev - (r - 1) * eta
+
+
+def _max_gap_ok(system: SystemSpec, N: int, inner2: int) -> bool:
+    """True iff the points {k*theta mod 1 : |k| <= N} have every circular
+    gap < 2*inner_radius (exact integer comparison)."""
+    worst = max_orbit_gap(system, 2 * N + 1)
     return 2 * worst < 2 * inner2  # worst in 1/q units vs inner in 1/(2q)
 
 
@@ -151,7 +170,8 @@ def compute_M1(system: SystemSpec, inner_radius: Fraction, M: int) -> int:
 
     Equivalent exact criterion: the circular gaps of {k*theta : |k| <= M1-1}
     are all < 2*inner_radius (then any point is within inner_radius of some
-    orbit point).  Found by doubling plus bisection on exact sorted gaps.
+    orbit point).  Found by doubling plus bisection, each probe an
+    O(log q) three-distance evaluation of the largest gap.
     """
     inner2 = _frac_num2(system, inner_radius)
     if inner2 <= 0:
@@ -238,19 +258,109 @@ class MarkerSequence:
         )
 
 
+def _first_below(p: int, q: int, w: int) -> int:
+    """Smallest k >= 1 with k*p mod q < w, for gcd(p, q) = 1 and w >= 1.
+
+    Walks the one-sided best approximations of p/q: A is the latest k with
+    a record small residue k*p = +rA (mod q), B the latest with k*p = -rB.
+    Every record on the + side is A + i*B for some step, so the first
+    residue below w is found in O(log q) Euclid steps.
+    """
+    kA, rA, kB, rB = 1, p, 0, q
+    while rA >= w:
+        if rA > rB:
+            t = rA // rB
+            if rA - t * rB < w:
+                return kA + ((rA - w) // rB + 1) * kB
+            kA, rA = kA + t * kB, rA - t * rB
+        else:
+            t = rB // rA
+            kB, rB = kB + t * kA, rB - t * rA
+            if rB == 0:  # the orbit closes at k = kB = q
+                return kB
+    return kA
+
+
+def _arc_half_width(spec: MarkerSpec) -> int:
+    """h with: the open outer arc holds exactly the grid points within h of
+    the center (2h < outer2 <= 2h + 2)."""
+    return (spec.outer_num2 - 1) // 2
+
+
+def return_times(spec: MarkerSpec) -> tuple[int, int, int]:
+    """The return times (r1, r2, r1 + r2) of the rotation to the open outer
+    arc, r1 < r2, in O(log q).
+
+    Slater's theorem: for the arc of w grid points, r1 = min{k : k*p mod q
+    < w} and r2 = min{k : -k*p mod q < w} (the first steps that move an arc
+    point forward and backward without leaving the arc); every return time
+    is one of r1, r2 and r1 + r2.
+    """
+    p, q = spec.system.p, spec.system.q
+    w = 2 * _arc_half_width(spec) + 1
+    r1, r2 = sorted((_first_below(p, q, w), _first_below(q - p, q, w)))
+    return r1, r2, r1 + r2
+
+
 def marker_sequence(
     spec: MarkerSpec, x: OrbitWindow, lo: int, hi: int, validate: bool = True
 ) -> MarkerSequence:
+    """Support times of n -> phi(T^n x) on [lo, hi], with values and clamped
+    arc distances, in O(visits).
+
+    Times are tracked by their offset u in [0, q) from the arc's first grid
+    point, so the open outer arc is u < w.  One scan of at most r1 + r2
+    times finds the first visit (every time is within r1 + r2 - 1 of a
+    later visit); from there each next visit is the smallest return time
+    whose step lands in the arc.  A visit from which no return time lands
+    is a MarkerConstructionError with its time as witness.
+
+    support_t2 is the clamped integer distance max(t2, inner2): it fixes phi
+    exactly and lets the tiling's height arithmetic avoid cancellation.
+    """
     if hi < lo:
         raise ConfigurationError("empty marker window")
-    vals, t2 = _phi_and_t2(spec, x, lo, hi)
-    sup = np.nonzero(vals > 0.0)[0]
+    sys_ = spec.system
+    q, p = sys_.q, sys_.p
+    h = _arc_half_width(spec)
+    w = 2 * h + 1
+    steps = [(r, r * p % q) for r in return_times(spec)]
+    u0 = (x.circle_numerator(lo) - spec.center_num + h) % q
+    span = min(steps[-1][0], hi - lo + 1)
+    first = None
+    for k0 in range(0, span, _SCAN_BLOCK):
+        hits = np.flatnonzero(circle_block(sys_, u0, k0, min(_SCAN_BLOCK, span - k0)) < w)
+        if len(hits):
+            first = k0 + int(hits[0])
+            break
+    if first is None and span == steps[-1][0]:
+        raise MarkerConstructionError(
+            f"no arc visit within {span} steps of time {lo}; "
+            f"return times {[r for r, _ in steps]}"
+        )
+    times, offs = [], []
+    if first is not None:
+        t, u = lo + first, (u0 + first * p) % q
+        while t <= hi:
+            times.append(t)
+            offs.append(u)
+            for r, d in steps:
+                v = (u + d) % q
+                if v < w:
+                    break
+            else:
+                raise MarkerConstructionError(
+                    f"no return time in {[r for r, _ in steps]} lands in the arc "
+                    f"from the visit at time {t}"
+                )
+            t, u = t + r, v
+    t2 = 2 * np.abs(np.array(offs, dtype=np.int64) - h)
     seq = MarkerSequence(
         spec=spec,
         window=(lo, hi),
-        support=(sup + lo).astype(np.int64),
-        values=vals[sup],
-        support_t2=t2[sup].astype(np.int64),
+        support=np.array(times, dtype=np.int64),
+        values=_phi_of_t2(spec, t2),
+        support_t2=np.maximum(t2, spec.inner_num2),
     )
     if validate:
         ok, witness = check_separation(seq)

@@ -60,12 +60,13 @@ class GammaVariant(Enum):
 
 def gamma(t, variant: GammaVariant = GammaVariant.MAX_AT_ZERO):
     """Label weight; vectorized, overflow-safe for any |t|."""
-    at = np.abs(np.asarray(t, dtype=np.float64))
-    e = np.exp(-at)
+    e = np.array(t, dtype=np.float64)  # the one working copy, updated in place
+    np.exp(np.negative(np.abs(e, out=e), out=e), out=e)
     if variant is GammaVariant.MAX_AT_ZERO:
-        out = 2.0 * e / (1.0 + e)
+        den = 1.0 + e
+        out = np.divide(np.multiply(e, 2.0, out=e), den, out=e)  # 2e / (1 + e)
     else:
-        out = 2.0 / (1.0 + e)
+        out = np.divide(2.0, np.add(e, 1.0, out=e), out=e)  # 2 / (1 + e)
     return float(out) if out.ndim == 0 else out
 
 
@@ -73,13 +74,13 @@ def alpha_deep(t, R: float):
     """Depth gate: 0 within distance 2 of a boundary, 1 beyond R/3."""
     if not R > 6:
         raise ConfigurationError("alpha_deep needs R > 6")
-    tt = np.asarray(t, dtype=np.float64)
-    if np.any(tt < 0):
+    out = np.array(t, dtype=np.float64)  # the one working copy, updated in place
+    if np.any(out < 0):
         raise ConfigurationError("distances must be nonnegative")
-    third = R / 3.0
-    out = np.where(
-        tt <= 2.0, 0.0, np.where(tt >= third, 1.0, (tt - 2.0) / (third - 2.0))
-    )
+    # the ramp (t - 2) / (R/3 - 2) is monotone in t, so clipping it to
+    # [0, 1] gives exactly 0 up to t = 2 and exactly 1 from t = R/3 on
+    np.divide(np.subtract(out, 2.0, out=out), R / 3.0 - 2.0, out=out)
+    np.clip(out, 0.0, 1.0, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -172,20 +173,38 @@ class FactorContext:
     def over(cls, x, seq, tiling, window, sparams: SignalParams) -> "FactorContext":
         """Owners, boundary distances and label weights of window's coordinates."""
         ks = np.arange(window[0], window[1] + 1, dtype=np.int64)
-        owners = _owners_of(tiling, ks)
-        dist = tiling.dist_to_boundary(ks.astype(np.float64))
+        owners, dist = _owner_dist_sweep(tiling, ks)
         gam = gamma(owners - ks, sparams.gamma_variant)
         return cls(x, seq, tiling, ks, owners, dist, gam)
 
 
-def _owners_of(tiling: IntervalTiling, ks: np.ndarray) -> np.ndarray:
-    # a function of its own, so the lookup's temporaries are freed before
-    # the distance and weight passes over the same window
-    pos = ks.astype(np.float64)
-    idx = np.searchsorted(tiling.lo, pos, side="right") - 1
-    if idx.min() < 0 or np.any(pos > tiling.hi[idx] + COVER_TOL):
+def _owner_dist_sweep(tiling: IntervalTiling, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owning label and boundary distance of each of the consecutive
+    integers ks, in one O(len(ks) + tiles) sweep.
+
+    Integer k belongs to the last tile with lo <= k, i.e. ceil(lo) <= k, so
+    each tile owns a run of ceil(lo[i]) <= k < ceil(lo[i+1]); k lies between
+    the sorted endpoints e[j-1] < k <= e[j] exactly when floor(e[j-1]) < k
+    <= floor(e[j]).  np.repeat lays both runs over the window.
+    """
+    k_lo, n = int(ks[0]), len(ks)
+    starts = np.clip(np.ceil(tiling.lo), k_lo, k_lo + n).astype(np.int64) - k_lo
+    counts = np.diff(np.append(starts, n))
+    owned = np.nonzero(counts)[0]
+    last = (starts[owned] + counts[owned] - 1 + k_lo).astype(np.float64)
+    if len(starts) == 0 or starts[0] > 0 or np.any(last > tiling.hi[owned] + COVER_TOL):
         raise SignalError("coordinate fell in an uncovered gap of the tiling")
-    return tiling.labels[idx]
+    owners = np.repeat(tiling.labels, counts)
+    e = tiling.endpoints()
+    seg = np.clip(np.floor(e) + 1, k_lo, k_lo + n).astype(np.int64) - k_lo
+    seg_counts = np.diff(np.concatenate(([0], seg, [n])))
+    j = np.arange(len(e) + 1)
+    # in place: every window-sized temporary costs a round of page faults
+    dist = np.repeat(e[np.maximum(j - 1, 0)], seg_counts)
+    np.abs(np.subtract(ks, dist, out=dist), out=dist)
+    right = np.repeat(e[np.minimum(j, len(e) - 1)], seg_counts)
+    np.abs(np.subtract(right, ks, out=right), out=right)
+    return owners, np.minimum(dist, right, out=dist)
 
 
 def signal_pad(sparams: SignalParams) -> int:
@@ -332,14 +351,15 @@ def plateau_report(
     if fimg.window != ctx.window:
         raise ConfigurationError("phi window differs from the context window")
     deep = ctx.dist >= sparams.R / 3.0
-    cap = 1.0 + ctx.gam
-    if np.any(np.abs(fimg.phi_seq[deep] - cap[deep]) > 1e-12):
+    off = 1.0 + ctx.gam  # |phi - cap|, built in place
+    np.abs(np.subtract(fimg.phi_seq, off, out=off), out=off)
+    if np.any(off[deep] > 1e-12):
         raise SignalError("rigid coordinates disagree with the label profile")
     edges = np.diff(np.concatenate(([False], deep, [False])).astype(np.int8))
     starts = np.nonzero(edges == 1)[0]
     stops = np.nonzero(edges == -1)[0] - 1
     ks, owners = ctx.ks, ctx.owners
-    blocks = [(int(ks[a]), int(ks[b]), int(owners[a])) for a, b in zip(starts, stops)]
+    blocks = list(zip(ks[starts].tolist(), ks[stops].tolist(), owners[starts].tolist()))
     rigid_total = int(np.count_nonzero(deep))
     return 1.0 - rigid_total / len(ks), blocks
 
@@ -369,8 +389,8 @@ def check_profile_cap(
     weight underflows and both branches agree to machine precision.
     """
     phi = fimg.phi_seq
-    cap = 1.0 + ctx.gam
-    over = phi - cap
+    over = 1.0 + ctx.gam  # phi - cap, built in place
+    np.subtract(phi, over, out=over)
     i = int(np.argmax(over))
     if over[i] > tol:
         return CheckResult(
@@ -380,9 +400,10 @@ def check_profile_cap(
             witness=int(ctx.ks[i]),
         )
     deep = ctx.dist >= sparams.R / 3.0
-    eq = np.abs(over) <= tol
+    eq = np.abs(over, out=over) <= tol
     bad_deep = deep & ~eq
-    truegap = (1.0 - alpha_deep(ctx.dist, sparams.R)) * ctx.gam
+    truegap = alpha_deep(ctx.dist, sparams.R)  # (1 - alpha) * gamma, in place
+    np.multiply(np.subtract(1.0, truegap, out=truegap), ctx.gam, out=truegap)
     bad_shallow = ~deep & eq & (truegap > 2 * tol)
     for bad, what in ((bad_deep, "deep point off the cap"), (bad_shallow, "shallow point on the cap")):
         if np.any(bad):

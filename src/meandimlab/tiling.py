@@ -168,15 +168,13 @@ class IntervalTiling:
     def endpoints(self) -> np.ndarray:
         return np.unique(np.concatenate([self.lo, self.hi]))
 
-    def dist_to_boundary(self, u):
-        """Distance from u (scalar or array) to the nearest tile endpoint."""
+    def dist_to_boundary(self, u: float) -> float:
+        """Distance from u to the nearest tile endpoint."""
         e = self.endpoints()
-        uu = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        idx = np.searchsorted(e, uu)
-        left = np.abs(uu - e[np.maximum(idx - 1, 0)])
-        right = np.abs(e[np.minimum(idx, len(e) - 1)] - uu)
-        d = np.minimum(left, right)
-        return float(d[0]) if np.isscalar(u) or np.ndim(u) == 0 else d
+        i = int(np.searchsorted(e, u))
+        left = abs(u - float(e[max(i - 1, 0)]))
+        right = abs(float(e[min(i, len(e) - 1)]) - u)
+        return min(left, right)
 
     @property
     def lengths(self) -> np.ndarray:

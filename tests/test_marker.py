@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from meandimlab.dynsys import SystemSpec, make_point, sample_points
+from meandimlab import marker as marker_mod
+from meandimlab.dynsys import SystemSpec, circle_block, make_point, sample_points
 from meandimlab.marker import (
     MarkerConstructionError,
     check_coverage,
@@ -14,10 +13,11 @@ from meandimlab.marker import (
     gap_histogram,
     make_marker_spec,
     marker_sequence,
+    max_orbit_gap,
     phi_eval,
-    phi_lipschitz_constant,
     phi_profile,
     pick_z_zprime,
+    return_times,
 )
 
 SYS = SystemSpec(D=1, window_radius=64)
@@ -85,20 +85,6 @@ def test_phi_shift_covariance(spec):
     np.testing.assert_array_equal(a, b)
 
 
-@given(st.integers(0, 10**6))
-@settings(max_examples=20, deadline=None)
-def test_phi_lipschitz(spec, seed):
-    rng = np.random.default_rng(seed)
-    sys_ = spec.system
-    c1, c2 = int(rng.integers(0, sys_.q)), int(rng.integers(0, sys_.q))
-    x1 = make_point(sys_, circle=Fraction(c1, sys_.q))
-    x2 = make_point(sys_, circle=Fraction(c2, sys_.q))
-    d = (c1 - c2) % sys_.q
-    arc = min(d, sys_.q - d) / sys_.q
-    slope = phi_lipschitz_constant(spec)
-    assert abs(phi_eval(spec, x1) - phi_eval(spec, x2)) <= slope * arc + 1e-12
-
-
 def test_marker_sequence_invariants(spec):
     xs = sample_points(SYS, 50, seed=202)
     L = 2 * spec.M1  # window half-length 4*M1 total
@@ -136,3 +122,121 @@ def test_z_pair_distinct(spec):
 
     z, zp = pick_z_zprime(spec)
     assert dist(z, zp) > 0.4  # antipodal circle points
+
+
+# ---------------------------------------------------------------------------
+# three-distance fast paths against their O(window) references
+
+# thetas with large partial quotients exercise the r > 1 branch of the gap
+# formula, which the golden rotation (every a_k = 1) never reaches
+PI_SYS = SystemSpec(theta=Fraction(314159265359, 10**12))
+SKEW_SYS = SystemSpec(theta=Fraction(7001000003, 10**15))
+
+
+def sorted_max_gap(system, n):
+    """Reference: largest circular gap of {k*theta : 0 <= k < n} by sorting."""
+    pos = np.sort(circle_block(system, 0, 0, n))
+    return max(int(np.diff(pos).max(initial=0)), int(pos[0] + system.q - pos[-1]))
+
+
+@pytest.mark.parametrize("system", [SYS, PI_SYS, SKEW_SYS], ids=["golden", "pi", "skew"])
+def test_max_orbit_gap_matches_sorted_gaps(system):
+    for n in range(1, 601):
+        assert max_orbit_gap(system, n) == sorted_max_gap(system, n), n
+    rng = np.random.default_rng(system.p % 1000)
+    for n in rng.integers(601, 3 * 10**6, size=5):
+        assert max_orbit_gap(system, int(n)) == sorted_max_gap(system, int(n)), int(n)
+
+
+def test_max_orbit_gap_past_the_period():
+    # once the orbit closes up every gap is one grid step
+    small = SystemSpec(theta=Fraction(234567, 10**6 + 3))
+    assert max_orbit_gap(small, small.q) == 1
+    assert max_orbit_gap(small, 3 * small.q + 5) == 1
+    assert max_orbit_gap(SKEW_SYS, 1) == SKEW_SYS.q
+
+
+@pytest.mark.parametrize(
+    "arc, M1",
+    [
+        (Fraction(1, 400), 306),  # bulk acceptance stack
+        (Fraction(31503617, 250000000000), 5474),  # default config
+        (Fraction(3718857, 125000000000), 23185),  # product factors 1-3
+        (Fraction(7011041, 1000000000000), 98210),
+        (Fraction(1706689, 1000000000000), 416021),
+    ],
+)
+def test_compute_M1_frozen_values(arc, M1):
+    assert compute_M_M1(SYS, arc, arc / 2)[1] == M1
+
+
+def window_reference(spec, x, lo, hi):
+    """Support, values and clamped arc distances from the O(window) path."""
+    vals = phi_profile(spec, x, lo, hi)
+    d = (x.circle_nums(lo, hi) - spec.center_num) % spec.system.q
+    t2 = np.maximum(2 * np.minimum(d, spec.system.q - d), spec.inner_num2)
+    sup = np.nonzero(vals > 0.0)[0]
+    return (sup + lo).astype(np.int64), vals[sup], t2[sup].astype(np.int64)
+
+
+def assert_walk_matches_window(spec, x, lo, hi):
+    seq = marker_sequence(spec, x, lo, hi)
+    sup, vals, t2 = window_reference(spec, x, lo, hi)
+    for got, want in ((seq.support, sup), (seq.values, vals), (seq.support_t2, t2)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lo, hi)
+    return seq
+
+
+MARKER_STACKS = {  # system, arc center, arc radius
+    "M144": (SYS, Fraction(0), Fraction(1, 400)),
+    "M2584": (SYS, Fraction(0), Fraction(31503617, 250000000000)),
+    "M10946": (SYS, Fraction(0), Fraction(3718857, 125000000000)),
+    "pi": (PI_SYS, Fraction(3, 8), Fraction(1, 400)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MARKER_STACKS))
+def stack_spec(request):
+    return make_marker_spec(*MARKER_STACKS[request.param])
+
+
+def test_return_times_match_scan(stack_spec):
+    r1, r2, r12 = return_times(stack_spec)
+    q, p = stack_spec.system.q, stack_spec.system.p
+    w = 2 * ((stack_spec.outer_num2 - 1) // 2) + 1
+    steps = circle_block(stack_spec.system, 0, 1, 4 * r12)
+    fwd = int(np.argmax(steps < w)) + 1
+    back = int(np.argmax(q - steps < w)) + 1
+    assert (r1, r2) == tuple(sorted((fwd, back))) and r12 == r1 + r2
+    # every observed return time is one of the three
+    x = sample_points(stack_spec.system, 1, seed=11)[0]
+    seq = marker_sequence(stack_spec, x, 0, 60 * r12)
+    assert set(np.diff(seq.support).tolist()) <= {r1, r2, r12}
+
+
+def test_visit_walk_matches_window(stack_spec):
+    r1, _, r12 = return_times(stack_spec)
+    M1 = stack_spec.M1
+    for x in sample_points(stack_spec.system, 3, seed=17):
+        seq = assert_walk_matches_window(stack_spec, x, -4 * M1, 4 * M1)
+        assert len(seq.support) > 2
+        v = int(seq.support[1])
+        assert_walk_matches_window(stack_spec, x, v, v + 3 * r12)  # lo on a visit
+        assert_walk_matches_window(stack_spec, x, v + 1, v + r1 - 1)  # no visit
+        assert_walk_matches_window(stack_spec, x, v - 1, v + 1)  # shorter than r1
+        assert_walk_matches_window(stack_spec, x, -7 * M1 - 3, -5 * M1)  # negative lo
+        assert_walk_matches_window(stack_spec, x.shifted(10**9), -M1, M1)
+
+
+def test_visit_walk_without_longest_return_raises(spec, monkeypatch):
+    """Negative control: a return set missing r1 + r2 stops the walk with a
+    witness instead of stepping over the visit it cannot reach."""
+    r1, r2, r12 = return_times(spec)
+    x = sample_points(SYS, 1, seed=4)[0]
+    seq = marker_sequence(spec, x, 0, 400 * r12)
+    long_gap = np.nonzero(np.diff(seq.support) == r12)[0]
+    assert len(long_gap), "window holds no r1 + r2 return"
+    v = int(seq.support[long_gap[0]])
+    monkeypatch.setattr(marker_mod, "return_times", lambda s: (r1, r2))
+    with pytest.raises(MarkerConstructionError, match=f"from the visit at time {v}$"):
+        marker_sequence(spec, x, int(seq.support[0]), 400 * r12)

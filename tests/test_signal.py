@@ -35,7 +35,7 @@ from meandimlab.signal import (
     separation_report,
     signal_pad,
 )
-from meandimlab.tiling import IntervalTiling, TilingParams, slice_tiling
+from meandimlab.tiling import COVER_TOL, IntervalTiling, TilingParams, slice_tiling
 
 SYS = SystemSpec()
 GAMMA1 = 2.0 / (1.0 + math.e)
@@ -68,6 +68,23 @@ def oracle_for(m):
         return rng.random(m - 1)
 
     return F
+
+
+def owners_reference(tiling, ks):
+    """Reference owner lookup: one binary search over tile starts per coordinate."""
+    pos = ks.astype(np.float64)
+    idx = np.searchsorted(tiling.lo, pos, side="right") - 1
+    assert idx.min() >= 0 and not np.any(pos > tiling.hi[idx] + COVER_TOL)
+    return tiling.labels[idx]
+
+
+def dist_reference(tiling, u):
+    """Reference boundary distance: one binary search over endpoints per query."""
+    e = tiling.endpoints()
+    idx = np.searchsorted(e, u)
+    left = np.abs(u - e[np.maximum(idx - 1, 0)])
+    right = np.abs(e[np.minimum(idx, len(e) - 1)] - u)
+    return np.minimum(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +125,35 @@ def test_alpha_deep_anchors():
         alpha_deep(1.0, 6.0)
     with pytest.raises(ConfigurationError):
         alpha_deep(-0.5, 9.0)
+
+
+def gamma_reference(t, variant=GammaVariant.MAX_AT_ZERO):
+    """Reference label weight, one temporary per operation."""
+    at = np.abs(np.asarray(t, dtype=np.float64))
+    e = np.exp(-at)
+    return 2.0 * e / (1.0 + e) if variant is GammaVariant.MAX_AT_ZERO else 2.0 / (1.0 + e)
+
+
+def alpha_deep_reference(t, R):
+    """Reference depth gate: the two branches chosen explicitly."""
+    tt = np.asarray(t, dtype=np.float64)
+    third = R / 3.0
+    return np.where(tt <= 2.0, 0.0, np.where(tt >= third, 1.0, (tt - 2.0) / (third - 2.0)))
+
+
+def test_in_place_gates_match_reference():
+    rng = np.random.default_rng(5)
+    ts = [np.arange(-800, 801, dtype=np.int64), rng.uniform(-60.0, 60.0, 5000)]
+    for t in ts:
+        for variant in GammaVariant:
+            assert gamma(t, variant).tobytes() == gamma_reference(t, variant).tobytes()
+    for R in (9.0, 10.5, 27.3, 39.0):
+        third = R / 3.0
+        edges = [2.0, third, np.nextafter(2.0, 3.0), np.nextafter(third, 0.0), np.nextafter(third, R)]
+        d = np.concatenate([np.linspace(0.0, 2.0 * R, 20001), rng.uniform(0.0, R, 5000), edges])
+        kept = d.copy()
+        assert alpha_deep(d, R).tobytes() == alpha_deep_reference(d, R).tobytes()
+        assert d.tobytes() == kept.tobytes()  # the input is not overwritten
 
 
 def test_alpha_band_anchors():
@@ -249,7 +295,7 @@ def test_plateau_short_tiles_have_none():
     ks = np.arange(-8, 9)
     t = make_tiling(5 * ks, 5 * ks - 2.5, 5 * ks + 2.5, (-42.5, 42.5))
     kk = np.arange(20, dtype=np.int64)
-    d = t.dist_to_boundary(kk.astype(np.float64))
+    d = dist_reference(t, kk.astype(np.float64))
     owners = np.array([t.tile_at(float(k)) for k in kk])
     phi = np.minimum(d, 1.0) + alpha_deep(d, 9.0) * gamma(owners - kk)
     ctx = FactorContext.over(None, None, t, (0, 19), SP9)
@@ -286,6 +332,60 @@ def test_plateau_rejects_nudged_rigid_coordinate(suite):
     phi[int(np.argmax(ctx.dist >= sparams.R / 3.0))] += 1e-9
     with pytest.raises(SignalError, match="rigid coordinates disagree"):
         plateau_report(ctx, FactorImage(fimg.window, phi), sparams)
+
+
+def assert_sweep_matches_reference(tiling, window, sparams=SP9):
+    ctx = FactorContext.over(None, None, tiling, window, sparams)
+    owners = owners_reference(tiling, ctx.ks)
+    want = {
+        "owners": owners,
+        "dist": dist_reference(tiling, ctx.ks.astype(np.float64)),
+        "gam": gamma(owners - ctx.ks, sparams.gamma_variant),
+    }
+    for name, ref in want.items():
+        got = getattr(ctx, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (name, window)
+
+
+INTEGER_TILING = make_tiling(
+    [-12, 0, 9, 20], [-20.0, -5.0, 6.0, 14.0], [-5.0, 6.0, 14.0, 30.0], (-20.0, 30.0)
+)
+FRACTIONAL_TILING = make_tiling(
+    [-9, 2, 13], [-18.3, -2.5, 9.75], [-2.5, 9.75, 25.1], (-18.3, 25.1)
+)
+SINGLE_TILING = make_tiling([4], [-100.0], [100.0], (-100.0, 100.0))
+# a tile shorter than one step: coordinate 5 is nearer its left endpoint
+SHORT_TILING = make_tiling([-6, 5, 12], [-10.0, 4.9, 5.8], [4.9, 5.8, 20.0], (-10.0, 20.0))
+
+
+@pytest.mark.parametrize(
+    "tiling, window",
+    [
+        (INTEGER_TILING, (-20, 30)),  # every endpoint is a coordinate
+        (INTEGER_TILING, (-5, 14)),  # window edges on endpoints
+        (INTEGER_TILING, (-13, 17)),  # starts and ends mid-tile
+        (INTEGER_TILING, (7, 7)),
+        (FRACTIONAL_TILING, (-18, 25)),
+        (FRACTIONAL_TILING, (-1, 3)),  # inside one tile, away from its ends
+        (SINGLE_TILING, (-100, 100)),
+        (SINGLE_TILING, (-40, 61)),
+        (SHORT_TILING, (-10, 20)),
+    ],
+)
+def test_owner_dist_sweep_matches_reference(tiling, window):
+    assert_sweep_matches_reference(tiling, window)
+    assert_sweep_matches_reference(
+        tiling, window, SignalParams(R=9.0, m=3, gamma_variant=GammaVariant.MIN_AT_ZERO)
+    )
+
+
+def test_owner_dist_sweep_matches_reference_on_real_tiling(suite):
+    mspec, tparams, sparams = suite
+    for seed in (3, 8):
+        x = sample_points(SYS, 1, seed=seed)[0]
+        ctx = factor_context(x, mspec, tparams, sparams, (-5000, 5000))
+        assert_sweep_matches_reference(ctx.tiling, ctx.window, sparams)
+        assert_sweep_matches_reference(ctx.tiling, (-4999, -4000), sparams)
 
 
 def test_owner_lookup_rejects_uncovered_gap():

@@ -353,7 +353,7 @@ def test_tile_at_and_boundary_distance(suite):
         assert a - 1e-9 <= u <= b + 1e-9
     assert t.dist_to_boundary(float(t.lo[1])) == 0.0
     mids = (t.lo + t.hi) / 2.0
-    d = t.dist_to_boundary(mids)
+    d = np.array([t.dist_to_boundary(float(u)) for u in mids])
     assert np.allclose(d, (t.hi - t.lo) / 2.0)
     with pytest.raises(ConfigurationError):
         t.tile_at(window[1] + 1.0)
