@@ -13,8 +13,10 @@ the gaps of n consecutive orbit points and the return times of the rotation
 to an arc each take at most three values, read off the continued fraction
 of theta = p/q in O(log q) integer steps.  So the coverage test behind M1
 costs O(log q) per horizon, and ``marker_sequence`` walks from visit to
-visit in O(visits) instead of evaluating phi on every time of its window.
-``phi_profile`` keeps the O(window) evaluation as the reference.
+visit in O(visits) instead of evaluating phi on every time of its window,
+and M, the first two-sided return to the arc, is one such walk too.
+``phi_profile`` keeps the O(window) evaluation as the reference, streamed
+in fixed-size chunks, and ``phi_eval`` is its scalar oracle.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from .dynsys import (
 _M_SEARCH_CAP = 10**8
 _M1_SEARCH_CAP = 10**8
 _SCAN_BLOCK = 1 << 16
+_PROFILE_CHUNK = 1 << 15
 
 
 class MarkerConstructionError(RuntimeError):
@@ -100,35 +103,65 @@ def _phi_of_t2(spec: MarkerSpec, t2: np.ndarray) -> np.ndarray:
 def phi_profile(spec: MarkerSpec, x: OrbitWindow, lo: int, hi: int) -> np.ndarray:
     """phi(T^k x) for k = lo..hi, evaluated at every time of the window.
 
-    The O(window) reference for ``marker_sequence``'s visit walk."""
+    The O(window) reference for ``marker_sequence``'s visit walk; it reads
+    nothing of the walk.  One residue table r_k = k*p mod q serves every
+    _PROFILE_CHUNK-wide chunk: anchor + r_k - q, folded back into [0, q)
+    by a sign-mask add, is the exact offset from the arc center, and phi is
+    evaluated only where the arc distance lands inside the outer arc.
+    """
     sys_ = spec.system
-    d0 = (x.circle_numerator(lo) - spec.center_num) % sys_.q
-    d = circle_block(sys_, d0, 0, hi - lo + 1)  # offsets from the arc center
-    np.minimum(d, sys_.q - d, out=d)
-    return _phi_of_t2(spec, np.multiply(d, 2, out=d))
+    q, outer2 = sys_.q, spec.outer_num2
+    n = hi - lo + 1
+    if n < 1:
+        raise ConfigurationError("empty phi window")
+    step = min(_PROFILE_CHUNK, n)
+    r = circle_block(sys_, 0, 0, step)
+    d = np.empty(step, dtype=np.int64)
+    tmp = np.empty(step, dtype=np.int64)
+    out = np.zeros(n)
+    for c0 in range(0, n, step):
+        m = min(step, n - c0)
+        dc, tc = d[:m], tmp[:m]
+        anchor = (x.circle_numerator(lo + c0) - spec.center_num) % q  # exact Python int
+        np.add(r[:m], anchor - q, out=dc)  # in [-q, q)
+        dc += np.bitwise_and(np.right_shift(dc, 63, out=tc), q, out=tc)
+        np.minimum(dc, np.subtract(q, dc, out=tc), out=dc)
+        dc *= 2  # arc distance in half-grid units
+        hit = np.flatnonzero(dc < outer2)
+        if len(hit):
+            out[c0 + hit] = _phi_of_t2(spec, dc[hit])
+    return out
 
 
 def phi_eval(spec: MarkerSpec, x: OrbitWindow) -> float:
-    return float(phi_profile(spec, x, 0, 0)[0])
+    """phi at time 0, on Python ints: the pointwise oracle of phi_profile."""
+    q = spec.system.q
+    d = (x.circle_numerator(0) - spec.center_num) % q
+    t2 = 2 * min(d, q - d)
+    inner2, outer2 = spec.inner_num2, spec.outer_num2
+    if t2 <= inner2:
+        return 1.0
+    if t2 >= outer2:
+        return 0.0
+    return (outer2 - t2) / float(outer2 - inner2)
 
 
 def compute_M(system: SystemSpec, arc_radius: Fraction) -> int:
-    """Smallest k >= 1 with arcdist(k*theta, 0) <= 2*arc_radius, by exact
-    blockwise scan.  The arc returns to itself exactly at such k."""
-    q = system.q
-    two_r4 = 2 * _frac_num2(system, arc_radius)  # 2*radius in half-grid units
-    k0 = 1
-    while k0 <= _M_SEARCH_CAP:
-        n = min(_SCAN_BLOCK, _M_SEARCH_CAP - k0 + 1)
-        d = circle_block(system, 0, k0, n)
-        d = np.minimum(d, q - d)
-        hits = np.nonzero(2 * d <= two_r4)[0]
-        if len(hits):
-            return k0 + int(hits[0])
-        k0 += n
-    raise MarkerConstructionError(
-        "no arc return within the search horizon; adjust arc_radius"
-    )
+    """Smallest k >= 1 with arcdist(k*theta, 0) <= 2*arc_radius, in
+    O(log q).  The arc returns to itself exactly at such k.
+
+    With T = arc_radius in half-grid units, arcdist(k*theta, 0) <=
+    2*arc_radius reads min(k*p mod q, -k*p mod q) <= T, so M is the first
+    k of either side, each one ``_first_below`` walk.
+    """
+    p, q = system.p, system.q
+    w = _frac_num2(system, arc_radius) + 1
+    M = min(_first_below(p, q, w), _first_below(q - p, q, w))
+    if M > _M_SEARCH_CAP:
+        raise MarkerConstructionError(
+            "no arc return within the search horizon; adjust arc_radius"
+        )
+    return M
 
 
 def max_orbit_gap(system: SystemSpec, n: int) -> int:

@@ -93,6 +93,7 @@ from .signal import (
     factor_image,
     plateau_report,
     separation_report,
+    sparse_phi,
 )
 from .tiling import (
     TilingError,
@@ -355,15 +356,15 @@ def phi_suite(
     free_max = 0.0
     for x in sample_points(mspec.system, samples, seed):
         ctx = factor_context(x, mspec, tparams, sparams, (0, N - 1))
-        fimg = factor_image(ctx, sparams)
-        res = check_profile_cap(fimg, ctx, sparams)
+        img = sparse_phi(ctx, sparams)
+        res = check_profile_cap(img, ctx, sparams)
         suites[PROFILE_CAP].add(res.passed, witness=res.witness)
-        free, _blocks = plateau_report(ctx, fimg, sparams)
+        free, _blocks = plateau_report(ctx, img, sparams)
         free_max = max(free_max, free)
         res = check_plateau_budget(free, budget)
         suites[PLATEAU_BUDGET].add(res.passed, margin=budget - free)
         for s in rng.integers(pad, N - h_hi - pad + 1, size=per):
-            segments.append(fimg.phi_seq[int(s) - pad : int(s) + h_hi + pad])
+            segments.append(img.segment(int(s) - pad, int(s) + h_hi + pad - 1))
     seqs = np.stack(segments[:z_windows])
     series = {}
     for h in z_horizons:
@@ -991,7 +992,7 @@ def run_products(config: ExperimentConfig, count_factors: int) -> ProductReport:
             for x in sample_points(sub.system, 2, sub.seed):
                 ctx = factor_context(x, res.mspec, res.tparams, res.sparams, (0, N_k - 1))
                 fimg = factor_image(ctx, res.sparams, F)
-                free, _ = plateau_report(ctx, fimg, res.sparams)
+                free, _ = plateau_report(ctx, sparse_phi(ctx, res.sparams), res.sparams)
                 checks.append(check_plateau_budget(free, dp))
                 checks.append(check_band_sparsity(fimg, dp, N_k))
             return sep_report, tuple(checks)

@@ -14,9 +14,19 @@ Two scalar observables are read off the tiling around each integer time:
 The pair pi = (I_g, Phi) is the factor map the verification harness probes.
 
 Each sample window is derived once: ``factor_context`` keeps its marker
-sequence, its depth-H tiling and, per coordinate k, the owning label n,
-the boundary distance and gamma(n - k).  ``factor_image`` turns it into
-the phi and g windows; plateau report, checks and fibre lookback read it.
+sequence, its depth-H tiling and, per tile, the integer run it owns and
+the sorted tile endpoints.  That is O(tiles), and so is most of what the
+checks need.  phi = min{dist, 1} + alpha_deep(dist) * gamma(n - k) is
+exactly 1.0 wherever dist >= 1 and |n - k| >= GAMMA_REACH, which is most
+of every long window.  So ``sparse_phi`` evaluates phi only on the
+context's active coordinates (the collar of each endpoint and the label
+neighbourhood of each tile); the plateau report takes its free fraction
+and rigid blocks from the R/3-deep run between each pair of endpoints,
+and the profile-cap check reads only the active coordinates.
+``factor_image`` builds the dense phi and g windows for the consumers
+that need every coordinate (band checks, fibre chain, traces); the
+context builds its dense owners, distances and label weights on first
+use.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -153,58 +164,188 @@ class FactorImage:
 
 
 @dataclass(frozen=True)
+class SparsePhi:
+    """A phi window stored on the coordinates where it can differ from 1.0;
+    every other coordinate of the window is exactly 1.0."""
+
+    window: tuple[int, int]  # inclusive integer range
+    ks: np.ndarray  # sorted int64 coordinates
+    phi: np.ndarray  # float64 phi at ks
+
+    def segment(self, a: int, b: int) -> np.ndarray:
+        """The dense phi window on [a, b]."""
+        lo, hi = self.window
+        if not lo <= a <= b <= hi:
+            raise KeyError(f"segment [{a}, {b}] outside window [{lo}, {hi}]")
+        out = np.ones(b - a + 1)
+        i, j = np.searchsorted(self.ks, (a, b + 1))
+        out[self.ks[i:j] - a] = self.phi[i:j]
+        return out
+
+
+# 1.0 + gamma(t) == 1.0 for every integer |t| >= GAMMA_REACH (working
+# variant): gamma(38) < 2^-53, so label weights that far out vanish next to 1
+GAMMA_REACH = 38
+
+
+@dataclass(frozen=True)
 class FactorContext:
-    """One window's tiling and every per-coordinate quantity read off it;
-    images, checks and the fibre lookback read these, never re-derive them."""
+    """One window's tiling, kept per tile: the integer run each tile owns
+    and the sorted tile endpoints, O(tiles) to build.
+
+    The dense per-coordinate arrays (owners, boundary distances, label
+    weights) are built only when a consumer reads them.  The phi-suite
+    checks read the tile runs, the R/3-deep runs between endpoints and
+    the ``active`` coordinates, where phi or its cap can differ from 1.0.
+    """
 
     x: OrbitWindow
     seq: MarkerSequence  # marker data under the padded tiling window
     tiling: IntervalTiling  # depth-H slice over the padded window
-    ks: np.ndarray  # int64 coordinates of the requested window
-    owners: np.ndarray  # int64 tile label owning each coordinate
-    dist: np.ndarray  # float64 distance to the tiling boundary
-    gam: np.ndarray  # float64 label weight gamma(owner - k)
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return int(self.ks[0]), int(self.ks[-1])
+    window: tuple[int, int]  # inclusive integer range
+    sparams: SignalParams
+    run_lo: np.ndarray  # int64 first coordinate owned by each owning tile
+    run_len: np.ndarray  # int64 number of coordinates it owns
+    run_label: np.ndarray  # int64 its label
+    edges: np.ndarray  # float64 sorted tile endpoints
 
     @classmethod
     def over(cls, x, seq, tiling, window, sparams: SignalParams) -> "FactorContext":
-        """Owners, boundary distances and label weights of window's coordinates."""
-        ks = np.arange(window[0], window[1] + 1, dtype=np.int64)
-        owners, dist = _owner_dist_sweep(tiling, ks)
-        gam = gamma(owners - ks, sparams.gamma_variant)
-        return cls(x, seq, tiling, ks, owners, dist, gam)
+        """Tile runs of window's coordinates; raises on an uncovered gap."""
+        window = (int(window[0]), int(window[1]))
+        runs = _owner_runs(tiling, window)
+        return cls(x, seq, tiling, window, sparams, *runs, tiling.endpoints())
+
+    # dense per-coordinate arrays, built on first use
+
+    @cached_property
+    def ks(self) -> np.ndarray:
+        return np.arange(self.window[0], self.window[1] + 1, dtype=np.int64)
+
+    @cached_property
+    def owners(self) -> np.ndarray:
+        return self.owners_at(self.ks)
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        return _boundary_dist(self.edges, self.ks)
+
+    @cached_property
+    def gam(self) -> np.ndarray:
+        return gamma(self.owners - self.ks, self.sparams.gamma_variant)
+
+    # sparse views
+
+    def owners_at(self, ks: np.ndarray) -> np.ndarray:
+        """Owning labels of the sorted window coordinates ks: tile i owns
+        those from run_lo[i] on, so one search of the runs in ks and one
+        repeat lay the labels out."""
+        pos = np.searchsorted(ks, self.run_lo)
+        return np.repeat(self.run_label, np.diff(np.append(pos, len(ks))))
+
+    def at(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Owners, boundary distances and label weights at the sorted window
+        coordinates ks, bitwise equal to the dense arrays there."""
+        owners = self.owners_at(ks)
+        dist = _boundary_dist(self.edges, ks)
+        return owners, dist, gamma(owners - ks, self.sparams.gamma_variant)
+
+    @cached_property
+    def active(self) -> np.ndarray:
+        """Sorted coordinates where phi or its cap 1 + gamma(n - k) can
+        differ from 1.0: the collar dist < 1 of every endpoint and, in each
+        tile, the label neighbourhood |n - k| < GAMMA_REACH.  Elsewhere
+        dist >= 1, alpha_deep * gamma rounds away next to 1 and both are
+        exactly 1.0.  The diagnostic variant's gamma never rounds away, so
+        there every coordinate is active."""
+        a = self.run_lo
+        b = a + self.run_len - 1
+        if self.sparams.gamma_variant is GammaVariant.MAX_AT_ZERO:
+            n = self.run_label
+            a, b = np.maximum(a, n - (GAMMA_REACH - 1)), np.minimum(b, n + (GAMMA_REACH - 1))
+        f = np.floor(self.edges).astype(np.int64)  # dist < 1 only at floor(e), floor(e) + 1
+        lo, hi = self.window
+        return _union_of_runs(
+            np.concatenate((a, np.maximum(f, lo))), np.concatenate((b, np.minimum(f + 1, hi)))
+        )
+
+    @cached_property
+    def active_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``at(active)``: owners, distances and label weights there."""
+        return self.at(self.active)
+
+    @cached_property
+    def rigid(self) -> np.ndarray:
+        """(runs, 2) int64 inclusive runs of the R/3-deep coordinates, at
+        most one per gap between consecutive endpoints.
+
+        Between endpoints l < r the dense distance is min(k - l, r - k) in
+        float64; each side is monotone in k, so the exact first and last
+        deep k sit within two steps of ceil(l + R/3) and floor(r - R/3).
+        Runs in neighbouring gaps are 2R/3 > 4 apart, so they are maximal.
+        The gaps outside the first and last endpoint hold no coordinate
+        more than COVER_TOL from the tiling.
+        """
+        R3 = self.sparams.R / 3.0
+        left, right = self.edges[:-1], self.edges[1:]
+        a = np.ceil(left + R3).astype(np.int64) - 2
+        b = np.floor(right - R3).astype(np.int64) + 2
+        for _ in range(4):
+            a += a - left < R3
+            b -= right - b < R3
+        a = np.maximum(a, self.window[0])
+        b = np.minimum(b, self.window[1])
+        keep = a <= b
+        return np.stack((a[keep], b[keep]), axis=1)
 
 
-def _owner_dist_sweep(tiling: IntervalTiling, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Owning label and boundary distance of each of the consecutive
-    integers ks, in one O(len(ks) + tiles) sweep.
+def _owner_runs(
+    tiling: IntervalTiling, window: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First coordinate, length and label of the integer run each tile owns
+    in window, in O(tiles).
 
     Integer k belongs to the last tile with lo <= k, i.e. ceil(lo) <= k, so
-    each tile owns a run of ceil(lo[i]) <= k < ceil(lo[i+1]); k lies between
-    the sorted endpoints e[j-1] < k <= e[j] exactly when floor(e[j-1]) < k
-    <= floor(e[j]).  np.repeat lays both runs over the window.
+    each tile owns the run ceil(lo[i]) <= k < ceil(lo[i+1]).
     """
-    k_lo, n = int(ks[0]), len(ks)
+    k_lo, n = window[0], window[1] - window[0] + 1
     starts = np.clip(np.ceil(tiling.lo), k_lo, k_lo + n).astype(np.int64) - k_lo
     counts = np.diff(np.append(starts, n))
     owned = np.nonzero(counts)[0]
     last = (starts[owned] + counts[owned] - 1 + k_lo).astype(np.float64)
     if len(starts) == 0 or starts[0] > 0 or np.any(last > tiling.hi[owned] + COVER_TOL):
         raise SignalError("coordinate fell in an uncovered gap of the tiling")
-    owners = np.repeat(tiling.labels, counts)
-    e = tiling.endpoints()
-    seg = np.clip(np.floor(e) + 1, k_lo, k_lo + n).astype(np.int64) - k_lo
-    seg_counts = np.diff(np.concatenate(([0], seg, [n])))
+    return starts[owned] + k_lo, counts[owned], tiling.labels[owned]
+
+
+def _boundary_dist(e: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Distance of each of the sorted integers ks to the sorted endpoints e,
+    in O(len(ks) + len(e) log len(ks)): k lies between e[j-1] < k <= e[j]
+    exactly when floor(e[j-1]) < k <= floor(e[j]), so one search of the
+    floors in ks and np.repeat lay both neighbours over ks."""
+    seg = np.searchsorted(ks, np.floor(e).astype(np.int64), side="right")
+    counts = np.diff(np.concatenate(([0], seg, [len(ks)])))
     j = np.arange(len(e) + 1)
     # in place: every window-sized temporary costs a round of page faults
-    dist = np.repeat(e[np.maximum(j - 1, 0)], seg_counts)
+    dist = np.repeat(e[np.maximum(j - 1, 0)], counts)
     np.abs(np.subtract(ks, dist, out=dist), out=dist)
-    right = np.repeat(e[np.minimum(j, len(e) - 1)], seg_counts)
+    right = np.repeat(e[np.minimum(j, len(e) - 1)], counts)
     np.abs(np.subtract(right, ks, out=right), out=right)
-    return owners, np.minimum(dist, right, out=dist)
+    return np.minimum(dist, right, out=dist)
+
+
+def _union_of_runs(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Sorted integers of the union of the inclusive runs [starts, stops]."""
+    keep = starts <= stops
+    order = np.argsort(starts[keep], kind="stable")
+    starts, stops = starts[keep][order], np.maximum.accumulate(stops[keep][order])
+    if len(starts) == 0:
+        return np.empty(0, dtype=np.int64)
+    first = np.flatnonzero(np.concatenate(([True], starts[1:] > stops[:-1] + 1)))
+    a = starts[first]
+    lengths = stops[np.append(first[1:] - 1, len(starts) - 1)] - a + 1
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(a - offsets, lengths) + np.arange(int(lengths.sum()), dtype=np.int64)
 
 
 def signal_pad(sparams: SignalParams) -> int:
@@ -336,9 +477,47 @@ def pi_map(
 # plateau structure of phi windows
 
 
+def sparse_phi(ctx: FactorContext, sparams: SignalParams) -> SparsePhi:
+    """The phi window of a context on its active coordinates, in
+    O(tiles + active): the formula of ``factor_image``, evaluated only where
+    the result can differ from 1.0."""
+    _same_params(ctx, sparams)
+    _, dist, gam = ctx.active_terms
+    phi = np.minimum(dist, 1.0) + alpha_deep(dist, sparams.R) * gam
+    return SparsePhi(window=ctx.window, ks=ctx.active, phi=phi)
+
+
+def _same_params(ctx: FactorContext, sparams: SignalParams) -> None:
+    if sparams != ctx.sparams:
+        raise ConfigurationError("signal params differ from the context's")
+
+
+def _cap_terms(
+    ctx: FactorContext, img: FactorImage | SparsePhi
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates where phi or its cap 1 + gamma(n - k) can differ from
+    1.0, with phi, the boundary distance and gamma(n - k) there: the
+    context's active coordinates, plus those where a dense image is off
+    1.0.  On every other coordinate both are exactly 1.0, so neither the
+    cap check nor the plateau check can fail there."""
+    if img.window != ctx.window:
+        raise ConfigurationError("phi window differs from the context window")
+    if isinstance(img, SparsePhi):
+        if not (img.ks is ctx.active or np.array_equal(img.ks, ctx.active)):
+            raise ConfigurationError("sparse phi is not on the context's active coordinates")
+        _, dist, gam = ctx.active_terms
+        return img.ks, img.phi, dist, gam
+    lo = ctx.window[0]
+    mask = img.phi_seq != 1.0
+    mask[ctx.active - lo] = True
+    ks = np.flatnonzero(mask) + lo
+    _, dist, gam = ctx.at(ks)
+    return ks, img.phi_seq[ks - lo], dist, gam
+
+
 def plateau_report(
     ctx: FactorContext,
-    fimg: FactorImage,
+    img: FactorImage | SparsePhi,
     sparams: SignalParams,
 ) -> tuple[float, list[tuple[int, int, int]]]:
     """Rigid blocks of the phi image of a context.
@@ -346,22 +525,19 @@ def plateau_report(
     A coordinate is rigid when it sits R/3-deep in its tile, where phi
     equals 1 + gamma(n - k) exactly.  Returns the fraction of free (non-
     rigid) coordinates and the maximal rigid blocks as (start, stop, label)
-    with inclusive ends.
+    with inclusive ends, read off the context's deep runs in O(tiles).
     """
-    if fimg.window != ctx.window:
-        raise ConfigurationError("phi window differs from the context window")
-    deep = ctx.dist >= sparams.R / 3.0
-    off = 1.0 + ctx.gam  # |phi - cap|, built in place
-    np.abs(np.subtract(fimg.phi_seq, off, out=off), out=off)
-    if np.any(off[deep] > 1e-12):
+    _same_params(ctx, sparams)
+    _, phi, dist, gam = _cap_terms(ctx, img)
+    off = 1.0 + gam  # |phi - cap|, built in place
+    np.abs(np.subtract(phi, off, out=off), out=off)
+    if np.any(off[dist >= sparams.R / 3.0] > 1e-12):
         raise SignalError("rigid coordinates disagree with the label profile")
-    edges = np.diff(np.concatenate(([False], deep, [False])).astype(np.int8))
-    starts = np.nonzero(edges == 1)[0]
-    stops = np.nonzero(edges == -1)[0] - 1
-    ks, owners = ctx.ks, ctx.owners
-    blocks = list(zip(ks[starts].tolist(), ks[stops].tolist(), owners[starts].tolist()))
-    rigid_total = int(np.count_nonzero(deep))
-    return 1.0 - rigid_total / len(ks), blocks
+    starts, stops = ctx.rigid[:, 0], ctx.rigid[:, 1]
+    labels = ctx.owners_at(starts)
+    blocks = list(zip(starts.tolist(), stops.tolist(), labels.tolist()))
+    rigid_total = int(np.sum(stops - starts + 1))
+    return 1.0 - rigid_total / (ctx.window[1] - ctx.window[0] + 1), blocks
 
 
 def check_plateau_budget(free_fraction: float, budget: float) -> CheckResult:
@@ -375,45 +551,51 @@ def check_plateau_budget(free_fraction: float, budget: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 # lemma checks
 
+# The cap tolerance; it must stay above 2^-54, where 1 + gamma(n - k)
+# rounds to 1.0 off the active coordinates.
+CAP_TOL = 1e-12
+
 
 def check_profile_cap(
-    fimg: FactorImage,
+    img: FactorImage | SparsePhi,
     ctx: FactorContext,
     sparams: SignalParams,
-    tol: float = 1e-12,
 ) -> CheckResult:
     """phi never exceeds 1 + gamma(n-k), with equality exactly R/3-deep.
 
     The equality dichotomy is only decidable where the analytic gap
     (1 - alpha) * gamma exceeds the tolerance; far from the owning label the
-    weight underflows and both branches agree to machine precision.
+    weight underflows and both branches agree to machine precision.  Only
+    the coordinates where phi or the cap can differ from 1.0 are read.
     """
-    phi = fimg.phi_seq
-    over = 1.0 + ctx.gam  # phi - cap, built in place
+    _same_params(ctx, sparams)
+    ks, phi, dist, gam = _cap_terms(ctx, img)
+    over = 1.0 + gam  # phi - cap, built in place
     np.subtract(phi, over, out=over)
-    i = int(np.argmax(over))
-    if over[i] > tol:
+    if np.any(over > CAP_TOL):
+        i = int(np.argmax(over))
         return CheckResult(
             PROFILE_CAP,
             False,
-            f"phi exceeds cap by {float(over[i]):.3g} at k={int(ctx.ks[i])}",
-            witness=int(ctx.ks[i]),
+            f"phi exceeds cap by {float(over[i]):.3g} at k={int(ks[i])}",
+            witness=int(ks[i]),
         )
-    deep = ctx.dist >= sparams.R / 3.0
-    eq = np.abs(over, out=over) <= tol
+    deep = dist >= sparams.R / 3.0
+    eq = np.abs(over, out=over) <= CAP_TOL
     bad_deep = deep & ~eq
-    truegap = alpha_deep(ctx.dist, sparams.R)  # (1 - alpha) * gamma, in place
-    np.multiply(np.subtract(1.0, truegap, out=truegap), ctx.gam, out=truegap)
-    bad_shallow = ~deep & eq & (truegap > 2 * tol)
+    truegap = alpha_deep(dist, sparams.R)  # (1 - alpha) * gamma, in place
+    np.multiply(np.subtract(1.0, truegap, out=truegap), gam, out=truegap)
+    bad_shallow = ~deep & eq & (truegap > 2 * CAP_TOL)
     for bad, what in ((bad_deep, "deep point off the cap"), (bad_shallow, "shallow point on the cap")):
         if np.any(bad):
-            k = int(ctx.ks[int(np.argmax(bad))])
+            k = int(ks[int(np.argmax(bad))])
             return CheckResult(PROFILE_CAP, False, f"{what} at k={k}", witness=k)
+    rigid = ctx.rigid
     return CheckResult(
         PROFILE_CAP,
         True,
-        f"cap respected on {len(phi)} coordinates, "
-        f"{int(np.count_nonzero(deep))} at equality",
+        f"cap respected on {ctx.window[1] - ctx.window[0] + 1} coordinates, "
+        f"{int(np.sum(rigid[:, 1] - rigid[:, 0] + 1))} at equality",
     )
 
 

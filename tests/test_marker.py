@@ -31,6 +31,20 @@ M_AT_1_OVER_400 = 144
 M1_AT_1_OVER_800 = 306
 
 
+def scan_M(system, arc_radius, block=1 << 16):
+    """Reference: first k >= 1 with arcdist(k*theta, 0) <= 2*arc_radius, by
+    an exact blockwise scan of the orbit."""
+    q = system.q
+    two_r4 = 2 * int(arc_radius * 2 * q)
+    k0 = 1
+    while True:
+        d = circle_block(system, 0, k0, block)
+        hits = np.nonzero(2 * np.minimum(d, q - d) <= two_r4)[0]
+        if len(hits):
+            return k0 + int(hits[0])
+        k0 += block
+
+
 def test_M_frozen_values():
     assert compute_M(SYS, Fraction(1, 100)) == M_AT_1_OVER_100
     M, M1 = compute_M_M1(SYS, Fraction(1, 400), Fraction(1, 800))
@@ -83,6 +97,96 @@ def test_phi_shift_covariance(spec):
     a = phi_profile(spec, x.shifted(1), -5, 5)
     b = phi_profile(spec, x, -4, 6)
     np.testing.assert_array_equal(a, b)
+
+
+def window_formula(spec, x, lo, hi):
+    """Reference: phi over the whole window in one pass of the previous
+    formula (offsets from the arc center, clamped, ramped)."""
+    q = spec.system.q
+    d0 = (x.circle_numerator(lo) - spec.center_num) % q
+    d = circle_block(spec.system, d0, 0, hi - lo + 1)
+    t2 = 2 * np.minimum(d, q - d)
+    inner2, outer2 = spec.inner_num2, spec.outer_num2
+    out = np.zeros(len(t2))
+    out[t2 <= inner2] = 1.0
+    ramp = (t2 > inner2) & (t2 < outer2)
+    out[ramp] = (outer2 - t2[ramp]) / float(outer2 - inner2)
+    return out
+
+
+def assert_profile_matches(spec, x, lo, hi):
+    got = phi_profile(spec, x, lo, hi)
+    want = window_formula(spec, x, lo, hi)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lo, hi)
+    return got
+
+
+def test_phi_profile_matches_scalar_oracle_on_small_windows(spec):
+    for seed, (lo, hi) in enumerate([(-10, 10), (0, 0), (-3 * spec.M, 2 * spec.M), (10**9, 10**9 + 500)]):
+        x = sample_points(SYS, 1, seed=seed)[0]
+        prof = phi_profile(spec, x, lo, hi)
+        assert prof.tolist() == [phi_eval(spec, x.shifted(k)) for k in range(lo, hi + 1)]
+    assert (prof > 0).any(), "windows should reach the arc"
+
+
+PRODUCT_ARCS = [
+    Fraction(3718857, 125000000000),
+    Fraction(7011041, 1000000000000),
+    Fraction(1706689, 1000000000000),
+]
+
+
+@pytest.mark.parametrize("arc", PRODUCT_ARCS, ids=["M10946", "M46368", "M196418"])
+def test_phi_profile_matches_window_formula_on_product_arcs(arc):
+    spec = make_marker_spec(SYS, arc_radius=arc)
+    rng = np.random.default_rng(spec.M)
+    for seed, shift in enumerate([0, int(rng.integers(1, 10**6)), 10**9]):
+        x = sample_points(SYS, 1, seed=seed)[0].shifted(shift)
+        prof = assert_profile_matches(spec, x, -2 * spec.M1, 2 * spec.M1)
+        assert (prof > 0).any() and (prof == 1.0).any()
+
+
+def test_phi_profile_chunk_edges(spec):
+    chunk = marker_mod._PROFILE_CHUNK
+    x = sample_points(SYS, 1, seed=21)[0]
+    for n in (1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 17):
+        assert_profile_matches(spec, x, -n // 2, -n // 2 + n - 1)
+
+
+def test_phi_profile_fine_theta():
+    fine = SystemSpec(theta=Fraction(7001000003, 10**15))
+    spec = make_marker_spec(fine, arc_center=Fraction(1, 8), arc_radius=Fraction(1, 400000))
+    assert (spec.M, spec.M1) == (142837, 285674)
+    x = sample_points(fine, 1, seed=2)[0]
+    prof = assert_profile_matches(spec, x, -2 * spec.M1, 2 * spec.M1)
+    assert (prof > 0).any()
+    assert_profile_matches(spec, x.shifted(10**9), 0, 2 * spec.M1)
+
+
+def test_phi_profile_at_the_thresholds(spec):
+    q = spec.system.q
+    inner2, outer2 = spec.inner_num2, spec.outer_num2
+    assert inner2 % 2 == 0 and outer2 % 2 == 0  # both thresholds are grid points
+    for half, want in ((inner2 // 2, 1.0), (outer2 // 2, 0.0), (inner2 // 2 + 1, None)):
+        for sign in (1, -1):
+            x = make_point(SYS, circle=Fraction((spec.center_num + sign * half) % q, q))
+            prof = assert_profile_matches(spec, x, -3, 3)
+            assert prof[3] == phi_eval(spec, x)
+            if want is not None:
+                assert prof[3] == want
+            else:
+                assert 0.0 < prof[3] < 1.0
+
+
+def test_phi_profile_reads_nothing_of_the_visit_walk(spec, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("phi_profile must not use the visit walk")
+
+    x = sample_points(SYS, 1, seed=6)[0]
+    want = window_formula(spec, x, 0, 4 * spec.M1)
+    for name in ("return_times", "_first_below", "_arc_half_width", "marker_sequence"):
+        monkeypatch.setattr(marker_mod, name, forbidden)
+    assert phi_profile(spec, x, 0, 4 * spec.M1).tobytes() == want.tobytes()
 
 
 def test_marker_sequence_invariants(spec):
@@ -168,6 +272,58 @@ def test_max_orbit_gap_past_the_period():
 )
 def test_compute_M1_frozen_values(arc, M1):
     assert compute_M_M1(SYS, arc, arc / 2)[1] == M1
+
+
+@pytest.mark.parametrize(
+    "arc, M",
+    [
+        (Fraction(1, 100), 34),
+        (Fraction(1, 400), 144),
+        (Fraction(11, 50000), 1597),  # band acceptance stack
+        (Fraction(31503617, 250000000000), 2584),  # default config
+        (Fraction(3718857, 125000000000), 10946),  # product factors 1-3
+        (Fraction(7011041, 1000000000000), 46368),
+        (Fraction(1706689, 1000000000000), 196418),
+    ],
+)
+def test_compute_M_frozen_values(arc, M):
+    assert compute_M(SYS, arc) == M
+
+
+@pytest.mark.parametrize("system", [SYS, PI_SYS, SKEW_SYS], ids=["golden", "pi", "skew"])
+def test_compute_M_matches_scan(system):
+    radii = [Fraction(1, 8), Fraction(1, 100), Fraction(1, 400), Fraction(1, 2000),
+             Fraction(11, 50000), Fraction(1, 20000)]
+    for arc in radii:
+        assert compute_M(system, arc) == scan_M(system, arc), arc
+
+
+@pytest.mark.parametrize("theta", [Fraction(4142135, 10**7), Fraction(10**7 + 3, 3 * 10**7)])
+def test_compute_M_matches_scan_on_coarse_thetas(theta):
+    system = SystemSpec(theta=theta)
+    for arc in (Fraction(1, 8), Fraction(1, 100), Fraction(1, 400), Fraction(1, 2000),
+                Fraction(1, 20000), Fraction(1, 200000)):
+        assert compute_M(system, arc) == scan_M(system, arc), arc
+
+
+@pytest.mark.parametrize("system", [SYS, PI_SYS], ids=["golden", "pi"])
+def test_compute_M_at_the_threshold(system):
+    """An arc whose radius is exactly the first return's distance: the
+    return counts (<=), one grid step less and it does not."""
+    q, p = system.q, system.p
+    for k in (34, 144, 2584):
+        if system is PI_SYS:
+            k = scan_M(system, Fraction(1, 10 * k))
+        d = min(k * p % q, q - k * p % q)
+        assert compute_M(system, Fraction(d, 2 * q)) == k == scan_M(system, Fraction(d, 2 * q))
+        assert compute_M(system, Fraction(d - 1, 2 * q)) > k
+
+
+def test_compute_M_beyond_the_search_horizon_raises(monkeypatch):
+    monkeypatch.setattr(marker_mod, "_M_SEARCH_CAP", 100)
+    assert compute_M(SYS, Fraction(1, 100)) == 34
+    with pytest.raises(MarkerConstructionError, match="no arc return within the search horizon"):
+        compute_M(SYS, Fraction(1, 400))
 
 
 def window_reference(spec, x, lo, hi):

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meandimlab.config import default_config, resolve
 from meandimlab.dynsys import ConfigurationError, SystemSpec, make_point, sample_points
 from meandimlab.marker import make_marker_spec, marker_sequence, support_window_for
 from meandimlab.signal import (
     FactorContext,
     FactorImage,
+    GAMMA_REACH,
     GammaVariant,
+    SparsePhi,
     SignalError,
     SignalParams,
     admissible_recovery_starts,
@@ -34,6 +37,7 @@ from meandimlab.signal import (
     plateau_report,
     separation_report,
     signal_pad,
+    sparse_phi,
 )
 from meandimlab.tiling import COVER_TOL, IntervalTiling, TilingParams, slice_tiling
 
@@ -394,6 +398,242 @@ def test_owner_lookup_rejects_uncovered_gap():
     FactorContext.over(None, None, t, (-19, -1), SP9)
     with pytest.raises(SignalError, match="uncovered gap"):
         FactorContext.over(None, None, t, (-3, 3), SP9)
+
+
+# ---------------------------------------------------------------------------
+# tile-sparse phi against the dense path
+
+
+def dense_plateau_report(ctx, phi, sparams):
+    """Reference: the plateau report over every coordinate of the window."""
+    deep = ctx.dist >= sparams.R / 3.0
+    if np.any(np.abs(phi - (1.0 + ctx.gam))[deep] > 1e-12):
+        raise SignalError("rigid coordinates disagree with the label profile")
+    edges = np.diff(np.concatenate(([False], deep, [False])).astype(np.int8))
+    starts = np.nonzero(edges == 1)[0]
+    stops = np.nonzero(edges == -1)[0] - 1
+    blocks = list(zip(ctx.ks[starts].tolist(), ctx.ks[stops].tolist(), ctx.owners[starts].tolist()))
+    return 1.0 - int(np.count_nonzero(deep)) / len(ctx.ks), blocks
+
+
+def dense_profile_cap(phi, ctx, sparams, tol=1e-12):
+    """Reference: the profile-cap check over every coordinate of the
+    window, as (passed, witness, detail)."""
+    over = phi - (1.0 + ctx.gam)
+    i = int(np.argmax(over))
+    if over[i] > tol:
+        k = int(ctx.ks[i])
+        return False, k, f"phi exceeds cap by {float(over[i]):.3g} at k={k}"
+    deep = ctx.dist >= sparams.R / 3.0
+    eq = np.abs(over) <= tol
+    truegap = (1.0 - alpha_deep(ctx.dist, sparams.R)) * ctx.gam
+    for bad, what in (
+        (deep & ~eq, "deep point off the cap"),
+        (~deep & eq & (truegap > 2 * tol), "shallow point on the cap"),
+    ):
+        if np.any(bad):
+            k = int(ctx.ks[int(np.argmax(bad))])
+            return False, k, f"{what} at k={k}"
+    deep_count = int(np.count_nonzero(deep))
+    return True, None, f"cap respected on {len(phi)} coordinates, {deep_count} at equality"
+
+
+def cap_outcome(res):
+    return res.passed, res.witness, res.detail
+
+
+def assert_sparse_matches_dense(ctx, sparams, segments=8, seed=0):
+    """sparse_phi, its segments, the plateau report and the profile cap
+    are bitwise those of the dense path; returns (sparse, dense phi)."""
+    img = sparse_phi(ctx, sparams)
+    dense = factor_image(ctx, sparams).phi_seq
+    lo, hi = ctx.window
+    whole = img.segment(lo, hi)
+    assert whole.tobytes() == dense.tobytes()
+    # the exact coordinates where phi is 1.0, and all others are active
+    assert np.array_equal(np.flatnonzero(whole == 1.0), np.flatnonzero(dense == 1.0))
+    assert np.isin(np.flatnonzero(dense != 1.0) + lo, img.ks).all()
+    rng = np.random.default_rng([seed, hi - lo])
+    for a in rng.integers(lo, hi + 1, size=segments):
+        b = min(hi, int(a) + int(rng.integers(0, 60)))
+        assert img.segment(int(a), b).tobytes() == dense[a - lo : b - lo + 1].tobytes()
+    want = dense_plateau_report(ctx, dense, sparams)
+    assert plateau_report(ctx, img, sparams) == want
+    assert plateau_report(ctx, FactorImage(ctx.window, dense), sparams) == want
+    want = dense_profile_cap(dense, ctx, sparams)
+    assert cap_outcome(check_profile_cap(img, ctx, sparams)) == want
+    assert cap_outcome(check_profile_cap(FactorImage(ctx.window, dense), ctx, sparams)) == want
+    return img, dense
+
+
+def bulk_stack():
+    mspec = make_marker_spec(SystemSpec(D=1), 0, Fraction(1, 400))
+    tparams = TilingParams(r=1.0, delta=0.5, c=1.5, M=mspec.M, M1=mspec.M1)
+    return mspec, tparams, SignalParams.from_tiling(tparams, 3)
+
+
+def default_stack():
+    res = resolve(default_config())
+    return res.mspec, res.tparams, res.sparams
+
+
+def c5_stack():
+    mspec = make_marker_spec(SYS, 0, Fraction(11, 50000))
+    tparams = TilingParams(r=18.0, delta=0.22, c=1.25, M=mspec.M, M1=mspec.M1)
+    return mspec, tparams, SignalParams.from_tiling(tparams, 6)
+
+
+@pytest.fixture(scope="module", params=["bulk", "default", "c5"])
+def real_stack(request):
+    return request.param, {"bulk": bulk_stack, "default": default_stack, "c5": c5_stack}[
+        request.param
+    ]()
+
+
+def test_gamma_reach():
+    assert 1.0 + gamma(GAMMA_REACH - 1) != 1.0
+    far = np.arange(GAMMA_REACH, 10**6)
+    assert np.all(1.0 + gamma(far) == 1.0) and np.all(1.0 + gamma(-far) == 1.0)
+
+
+def test_sparse_phi_matches_dense_on_real_stacks(real_stack):
+    name, (mspec, tparams, sparams) = real_stack
+    N = 1000 * mspec.M1 if name == "bulk" else 4 * mspec.M1
+    for i, x in enumerate(sample_points(mspec.system, 3, seed=31)):
+        shift = (0, 10**9 + 7, -4321)[i]
+        ctx = factor_context(x, mspec, tparams, sparams, (shift, shift + N - 1))
+        img, dense = assert_sparse_matches_dense(ctx, sparams, seed=i)
+        assert len(img.ks) < len(dense)  # the sparse path skips the plateau
+    free, blocks = plateau_report(ctx, img, sparams)
+    assert blocks and 0.0 < free < 1.0
+
+
+def test_sparse_phi_matches_dense_for_the_diagnostic_variant():
+    mspec, tparams, _ = bulk_stack()
+    sparams = SignalParams.from_tiling(tparams, 3, GammaVariant.MIN_AT_ZERO)
+    x = sample_points(mspec.system, 1, seed=8)[0]
+    ctx = factor_context(x, mspec, tparams, sparams, (0, 20 * mspec.M1))
+    img, _ = assert_sparse_matches_dense(ctx, sparams)
+    assert len(img.ks) == 20 * mspec.M1 + 1  # gamma never rounds away
+
+
+ALL_RIGID_TILING = make_tiling([0], [-100.0], [100.0], (-100.0, 100.0))
+
+
+@pytest.mark.parametrize(
+    "tiling, window",
+    [
+        (INTEGER_TILING, (-20, 30)),
+        (INTEGER_TILING, (-13, 17)),
+        (INTEGER_TILING, (7, 7)),
+        (FRACTIONAL_TILING, (-18, 25)),
+        (FRACTIONAL_TILING, (-1, 3)),
+        (SINGLE_TILING, (-100, 100)),
+        (SINGLE_TILING, (50, 61)),  # nothing active: every coordinate is 1.0
+        (SHORT_TILING, (-10, 20)),
+        (ALL_RIGID_TILING, (0, 49)),
+        (ALL_RIGID_TILING, (-97, 97)),
+    ],
+)
+def test_sparse_phi_matches_dense_on_hand_made_tilings(tiling, window):
+    for sparams in (SP9, SignalParams(R=9.0, m=3, gamma_variant=GammaVariant.MIN_AT_ZERO)):
+        ctx = FactorContext.over(None, None, tiling, window, sparams)
+        assert_sparse_matches_dense(ctx, sparams)
+
+
+def test_sparse_rigid_runs_on_a_hand_made_tiling():
+    # tiles [-20, -5], [-5, 6], [6, 14], [14, 30]; R/3 = 3
+    ctx = FactorContext.over(None, None, INTEGER_TILING, (-20, 30), SP9)
+    img = sparse_phi(ctx, SP9)
+    free, blocks = plateau_report(ctx, img, SP9)
+    assert blocks == [(-17, -8, -12), (-2, 3, 0), (9, 11, 9), (17, 27, 20)]
+    assert free == 1.0 - 30 / 51
+
+
+@pytest.fixture(scope="module")
+def bulk_context():
+    mspec, tparams, sparams = bulk_stack()
+    x = sample_points(mspec.system, 1, seed=12)[0]
+    return factor_context(x, mspec, tparams, sparams, (0, 20 * mspec.M1)), sparams
+
+
+def test_sparse_plateau_rejects_nudged_rigid_coordinate(bulk_context):
+    """Negative control: phi off the cap at one R/3-deep active coordinate."""
+    ctx, sparams = bulk_context
+    img = sparse_phi(ctx, sparams)
+    _, dist, _ = ctx.active_terms
+    i = int(np.flatnonzero(dist >= sparams.R / 3.0)[5])
+    phi = img.phi.copy()
+    phi[i] -= 1e-9
+    nudged = SparsePhi(img.window, img.ks, phi)
+    with pytest.raises(SignalError, match="rigid coordinates disagree"):
+        plateau_report(ctx, nudged, sparams)
+    with pytest.raises(SignalError, match="rigid coordinates disagree"):
+        dense_plateau_report(ctx, nudged.segment(*ctx.window), sparams)
+    k = int(img.ks[i])
+    res = check_profile_cap(nudged, ctx, sparams)
+    assert cap_outcome(res) == (False, k, f"deep point off the cap at k={k}")
+    assert cap_outcome(res) == dense_profile_cap(nudged.segment(*ctx.window), ctx, sparams)
+
+
+def test_sparse_profile_cap_rejects_phi_above_the_cap(bulk_context):
+    """Negative control: phi above 1 + gamma at a shallow active coordinate."""
+    ctx, sparams = bulk_context
+    img = sparse_phi(ctx, sparams)
+    _, dist, gam = ctx.active_terms
+    shallow = np.flatnonzero(dist < 1.0)
+    i = int(shallow[len(shallow) // 2])
+    phi = img.phi.copy()
+    phi[i] = 1.0 + gam[i] + 1e-6
+    over = SparsePhi(img.window, img.ks, phi)
+    res = check_profile_cap(over, ctx, sparams)
+    k = int(img.ks[i])
+    assert not res.passed and res.witness == k and f"at k={k}" in res.detail
+    assert cap_outcome(res) == dense_profile_cap(over.segment(*ctx.window), ctx, sparams)
+
+
+def test_sparse_profile_cap_rejects_shallow_point_on_the_cap():
+    """Negative control: phi equal to its cap 1 dist away from a boundary,
+    where the gap (1 - alpha) * gamma(4) is far above the tolerance."""
+    ctx = FactorContext.over(None, None, INTEGER_TILING, (-20, 30), SP9)
+    img = sparse_phi(ctx, SP9)
+    i = int(np.searchsorted(img.ks, -4))
+    assert img.ks[i] == -4 and ctx.owners_at(img.ks[i : i + 1])[0] == 0
+    phi = img.phi.copy()
+    phi[i] = 1.0 + gamma(4)
+    on_cap = SparsePhi(img.window, img.ks, phi)
+    res = check_profile_cap(on_cap, ctx, SP9)
+    assert cap_outcome(res) == (False, -4, "shallow point on the cap at k=-4")
+    assert cap_outcome(res) == dense_profile_cap(on_cap.segment(-20, 30), ctx, SP9)
+
+
+def test_dense_image_checks_read_inactive_coordinates(bulk_context):
+    """Negative control: a dense image off 1.0 where the sparse path would
+    not look still fails both checks, at the same witness as the dense path."""
+    ctx, sparams = bulk_context
+    dense = factor_image(ctx, sparams).phi_seq.copy()
+    lo = ctx.window[0]
+    quiet = np.setdiff1d(ctx.ks, ctx.active)
+    k = int(quiet[np.argmax(ctx.dist[quiet - lo] >= sparams.R / 3.0)])
+    assert dense[k - lo] == 1.0 and ctx.dist[k - lo] >= sparams.R / 3.0
+    dense[k - lo] += 1e-9
+    fimg = FactorImage(ctx.window, dense)
+    res = check_profile_cap(fimg, ctx, sparams)
+    assert cap_outcome(res) == dense_profile_cap(dense, ctx, sparams)
+    assert not res.passed and res.witness == k
+    with pytest.raises(SignalError, match="rigid coordinates disagree"):
+        plateau_report(ctx, fimg, sparams)
+
+
+def test_sparse_phi_rejects_foreign_coordinates(bulk_context):
+    ctx, sparams = bulk_context
+    img = sparse_phi(ctx, sparams)
+    moved = SparsePhi(img.window, img.ks[1:], img.phi[1:])
+    with pytest.raises(ConfigurationError, match="active coordinates"):
+        plateau_report(ctx, moved, sparams)
+    other = SignalParams(R=sparams.R, m=sparams.m, gamma_variant=GammaVariant.MIN_AT_ZERO)
+    with pytest.raises(ConfigurationError, match="signal params differ"):
+        check_profile_cap(img, ctx, other)
 
 
 # ---------------------------------------------------------------------------
