@@ -39,6 +39,7 @@ from .signal import (
     admissible_recovery_starts,
     factor_context,
     factor_image,
+    oracle_blocks,
     separation_report,
 )
 from .tiling import TilingParams, good_tile, slice_tiling
@@ -464,6 +465,29 @@ def _pair_separation_check(mspec, tparams, sparams) -> CheckResult:
     )
 
 
+def _close_pairs(rows: tuple[np.ndarray, ...], tol: float, chunk: int = 256) -> np.ndarray:
+    """close[j, k] iff every array in rows stays within tol between its rows
+    j and k: exactly ``max(sup_dmat(A) for A in rows) <= tol``.
+
+    Pairs are screened chunk by chunk over the columns and drop out at the
+    first chunk where some |A[j] - A[k]| exceeds tol, so no S x width
+    temporary is built.
+    """
+    S, width = rows[0].shape
+    j, k = np.triu_indices(S, 1)
+    for c in range(0, width, chunk):
+        for A in rows:
+            if len(j) == 0:
+                break
+            part = A[:, c : c + chunk]
+            keep = (np.abs(part[j] - part[k]) <= tol).all(axis=1)
+            j, k = j[keep], k[keep]
+    close = np.zeros((S, S), dtype=bool)
+    np.fill_diagonal(close, 0.0 <= tol)
+    close[j, k] = close[k, j] = True
+    return close
+
+
 def fiber_width_chain(
     pool,
     mspec: MarkerSpec,
@@ -485,7 +509,8 @@ def fiber_width_chain(
     the union of oracle fibers), with K re-certified per member through
     the central-tile selector; a member matching no block raises
     FiberError.  The Bowen width of each fiber at the given horizon is
-    then compared against delta * horizon.
+    then compared against delta * horizon.  A pool point drawn as a probe
+    more than once is measured once.
     """
     m = sparams.m
     K = tparams.K
@@ -504,65 +529,56 @@ def fiber_width_chain(
         fimg = factor_image(ctx, sparams, F_oracle)
         G[j], PHI[j] = fimg.g_seq, fimg.phi_seq
     # pool points j, k share a thickened fiber iff close[j, k]
-    close = np.maximum(sup_dmat(G), sup_dmat(PHI)) <= tol
+    close = _close_pairs((PHI, G), tol)
     bowen = bowen_dmat(pool, horizon)
 
     rng = np.random.default_rng([seed, len(pool), probe_count])
     chosen = rng.choice(len(pool), size=probe_count, replace=probe_count > len(pool))
 
-    starts_cache: dict[int, np.ndarray] = {}
-    block_cache: dict[tuple[int, int], np.ndarray] = {}
+    lo = window[0]
+    cols = np.arange(m - 1)
+    recovery: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def member_starts(j: int) -> np.ndarray:
-        starts = starts_cache.get(j)
-        if starts is None:
+    def recovery_blocks(j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Window columns and oracle values of member j's admissible blocks."""
+        got = recovery.get(j)
+        if got is None:
             _certify_lookback(ctxs[j], tparams)
             starts = admissible_recovery_starts(ctxs[j], sparams)
             starts = starts[(starts >= -K) & (starts <= K)]
-            starts_cache[j] = starts
-        return starts
+            got = recovery[j] = (
+                (starts - lo)[:, None] + cols,
+                oracle_blocks(F_oracle, pool[j], starts, m),
+            )
+        return got
 
-    def oracle_block(j: int, a: int) -> np.ndarray:
-        F = block_cache.get((j, a))
-        if F is None:
-            F = np.asarray(F_oracle(pool[j].shifted(a)), dtype=np.float64)
-            block_cache[(j, a)] = F
-        return F
-
-    lo = window[0]
-    records = []
-    members_total = 0
-    blocks_total = 0
-    max_ratio = 0.0
-    for i in map(int, chosen):
+    def probe(i: int) -> ChainProbe:
         members = np.nonzero(close[i])[0]
         blocks = 0
         for j in map(int, members):
-            matched = 0
-            for a in map(int, member_starts(j)):
-                F = oracle_block(j, a)
-                if np.abs(G[i, a - lo : a - lo + m - 1] - F).max() <= tol:
-                    matched += 1
+            at, F = recovery_blocks(j)
+            matched = int(np.count_nonzero(np.abs(G[i][at] - F).max(axis=1) <= tol))
             if matched == 0:
                 raise FiberError(
                     f"pool point {j} in the fiber of probe {i} matches no "
                     f"oracle block inside [-{K}, {K}]"
                 )
             blocks += matched
-        S = len(members)
         wid = _dmat_widim_upper(bowen[np.ix_(members, members)], eps)
-        ratio = wid / horizon
-        max_ratio = max(max_ratio, ratio)
-        members_total += S
-        blocks_total += blocks
-        records.append(ChainProbe(i, S, blocks, wid, ratio))
+        return ChainProbe(i, len(members), blocks, wid, wid / horizon)
+
+    # distinct probes in draw order, so the first FiberError is the same
+    measured = {i: probe(i) for i in dict.fromkeys(map(int, chosen))}
+    records = [measured[i] for i in map(int, chosen)]
+    max_ratio = max([0.0] + [r.ratio for r in records])
 
     checks = (
         CheckResult(
             FIBER_CONTAINMENT,
             True,
-            f"{members_total} fiber members over {len(records)} probes matched "
-            f"{blocks_total} oracle blocks inside [-{K}, {K}]",
+            f"{sum(r.fiber_size for r in records)} fiber members over {len(records)} "
+            f"probes matched {sum(r.blocks_matched for r in records)} oracle blocks "
+            f"inside [-{K}, {K}]",
         ),
         CheckResult(
             FIBER_WIDTH,

@@ -158,32 +158,6 @@ def _stage(name: str, fn):
 # the block oracle
 
 
-def _freudenthal_carrier(p: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Vertices and barycentric weights of the standard-triangulation simplex
-    containing p (unit lattice, Kuhn subdivision).
-
-    Walk from floor(p) by unit steps in coordinates ordered by descending
-    fractional part; the weights are the consecutive differences of the
-    sorted fractional parts, padded with 1 - max and min.  Sum is 1 and the
-    weighted vertex sum reproduces p exactly.
-    """
-    base = np.floor(p).astype(np.int64)
-    f = p - base
-    order = np.argsort(-f, kind="stable")
-    verts = [base]
-    v = base
-    for i in order:
-        v = v.copy()
-        v[i] += 1
-        verts.append(v)
-    fs = f[order]
-    w = np.empty(len(p) + 1)
-    w[0] = 1.0 - fs[0]
-    w[1:-1] = fs[:-1] - fs[1:]
-    w[-1] = fs[-1]
-    return verts, w
-
-
 @dataclass(frozen=True)
 class StarMap:
     """Block oracle F: X -> [0,1]^(m-1) used by the band coordinate.
@@ -237,18 +211,54 @@ class StarMap:
             image = self._images[key] = rng.random(self.m - 1)
         return image
 
+    def batch(self, x: OrbitWindow, starts) -> np.ndarray:
+        """F(T^s x) for every block start s: one (len(starts), m-1) array.
+
+        One gather of the cube blocks (zero outside the stored window, as in
+        ``cube_block``) and one row-wise stable sort of the fractional parts
+        give every point's Kuhn carrier: vertex k steps from floor(p) by one
+        unit along each of the k largest fractional parts, and the weights
+        are the gaps between consecutive sorted parts, padded with 1 - max
+        and min.  Vertices are drawn only where the weight is positive and
+        summed in carrier order; a zero weight adds an exact 0.0, so each
+        row is bitwise the one-point value.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        S, tau, L = len(starts), self.tau, self.circle_cells
+        if S == 0:
+            return np.zeros((0, self.m - 1))
+        rows = starts[:, None] + np.arange(-tau, self.n_horizon + tau) + (x.offset + x.radius)
+        stored = (rows >= 0) & (rows < len(x.cube))
+        block = np.where(stored[..., None], x.cube[np.clip(rows, 0, len(x.cube) - 1)], 0.0)
+        d = block[0].size + 1
+        p = np.empty((S, d))
+        p[:, :-1] = block.reshape(S, -1) / self.step
+        # int / int rounds once, exactly as circle_point does
+        q = x.spec.q
+        p[:, -1] = [x.circle_numerator(int(s)) / q * L for s in starts]
+
+        base = np.floor(p).astype(np.int64)
+        f = p - base
+        order = np.argsort(-f, axis=1, kind="stable")
+        fs = np.take_along_axis(f, order, axis=1)
+        w = np.empty((S, d + 1))
+        w[:, 0] = 1.0 - fs[:, 0]
+        w[:, 1:-1] = fs[:, :-1] - fs[:, 1:]
+        w[:, -1] = fs[:, -1]
+        steps = np.zeros((S, d + 1, d), dtype=np.int64)
+        steps[np.arange(S)[:, None], np.arange(1, d + 1), order] = 1
+        verts = base[:, None, :] + np.cumsum(steps, axis=1)
+        verts[..., -1] %= L  # the circle coordinate wraps on its own lattice
+
+        live = w > 0.0
+        terms = np.zeros((S, d + 1, self.m - 1))
+        terms[live] = [self._vertex_image(tuple(v)) for v in verts[live].tolist()]
+        terms *= w[..., None]
+        # accumulate adds left to right, as the one-point loop does
+        return np.add.accumulate(terms, axis=1)[:, -1]
+
     def __call__(self, x: OrbitWindow) -> np.ndarray:
-        tau = self.tau
-        block = x.cube_block(-tau, self.n_horizon - 1 + tau).ravel()
-        L = self.circle_cells
-        p = np.concatenate([block / self.step, [x.circle_point(0) * L]])
-        verts, weights = _freudenthal_carrier(p)
-        out = np.zeros(self.m - 1)
-        for v, w in zip(verts, weights):
-            if w > 0.0:
-                key = (*(int(c) for c in v[:-1]), int(v[-1]) % L)
-                out += w * self._vertex_image(key)
-        return out
+        return self.batch(x, [0])[0]
 
 
 def _star_transfer(pool, F, eps: float, horizon: int) -> CheckResult:

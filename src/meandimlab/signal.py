@@ -434,30 +434,48 @@ def g_value(tiling: IntervalTiling, F_oracle, x: OrbitWindow, sparams: SignalPar
     return float(band * F[-a])
 
 
+def oracle_blocks(F_oracle, x: OrbitWindow, starts, m: int) -> np.ndarray:
+    """F(T^s x) for each block start s, one (m-1)-wide row per start.
+
+    An oracle with a ``batch`` method (``StarMap``) is called once for all
+    starts; a plain callable once per start.  No start, no call.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    if len(starts) == 0:
+        return np.zeros((0, m - 1))
+    batch = getattr(F_oracle, "batch", None)
+    if batch is not None:
+        blocks = np.asarray(batch(x, starts), dtype=np.float64)
+    else:
+        rows = [np.asarray(F_oracle(x.shifted(int(s))), dtype=np.float64) for s in starts]
+        if any(r.shape != (m - 1,) for r in rows):
+            raise ConfigurationError(f"F oracle must produce {m - 1} coordinates")
+        blocks = np.stack(rows)
+    if blocks.shape != (len(starts), m - 1):
+        raise ConfigurationError(f"F oracle must produce {m - 1} coordinates")
+    return blocks
+
+
 def factor_image(ctx: FactorContext, sparams: SignalParams, F_oracle=None) -> FactorImage:
     """The phi window of a context, plus its g window when given an oracle.
 
     phi = min{dist, 1} + alpha_deep(dist) * gamma(n - k).  g reads the
     oracle block of each collar time: inside a tile, times fall into
-    residue blocks of length m-1 and share one evaluation F(T^s x).
+    residue blocks of length m-1 and share one evaluation F(T^s x), so the
+    distinct block starts of the collar take one ``oracle_blocks`` call.
     """
     phi = np.minimum(ctx.dist, 1.0) + alpha_deep(ctx.dist, sparams.R) * ctx.gam
     if F_oracle is None:
         return FactorImage(window=ctx.window, phi_seq=phi)
     m = sparams.m
     band = alpha_band(ctx.dist, m)
+    collar = np.flatnonzero(band > 0.0)
+    t = ctx.ks[collar]
+    s = t - (t - ctx.owners[collar]) % (m - 1)  # block start of each collar time
+    starts, row = np.unique(s, return_inverse=True)
+    blocks = oracle_blocks(F_oracle, ctx.x, starts, m)
     g = np.zeros(len(ctx.ks))
-    cache: dict[int, np.ndarray] = {}
-    for i in np.nonzero(band > 0.0)[0]:
-        t = int(ctx.ks[i])
-        s = t - ((t - int(ctx.owners[i])) % (m - 1))  # block start of t
-        F = cache.get(s)
-        if F is None:
-            F = np.asarray(F_oracle(ctx.x.shifted(s)), dtype=np.float64)
-            if F.shape != (m - 1,):
-                raise ConfigurationError(f"F oracle must produce {m - 1} coordinates")
-            cache[s] = F
-        g[i] = band[i] * F[t - s]
+    g[collar] = band[collar] * blocks[row, t - s]
     return FactorImage(window=ctx.window, phi_seq=phi, g_seq=g)
 
 
@@ -693,17 +711,17 @@ def check_band_recovery(
         raise ConfigurationError("image carries no g window")
     m = sparams.m
     starts = admissible_recovery_starts(ctx, sparams)
-    lo = fimg.window[0]
-    for a in starts:
-        F = np.asarray(F_oracle(ctx.x.shifted(int(a))), dtype=np.float64)
-        got = fimg.g_seq[a - lo : a - lo + m - 1]
-        if not np.array_equal(got, F):
-            return CheckResult(
-                BAND_RECOVERY,
-                False,
-                f"block at a={int(a)} disagrees with the oracle",
-                witness=int(a),
-            )
+    blocks = oracle_blocks(F_oracle, ctx.x, starts, m)
+    got = fimg.g_seq[(starts - fimg.window[0])[:, None] + np.arange(m - 1)]
+    bad = np.flatnonzero(~(got == blocks).all(axis=1))
+    if len(bad):
+        a = int(starts[bad[0]])
+        return CheckResult(
+            BAND_RECOVERY,
+            False,
+            f"block at a={a} disagrees with the oracle",
+            witness=a,
+        )
     return CheckResult(
         BAND_RECOVERY, True, f"{len(starts)} admissible blocks recovered exactly"
     )

@@ -176,10 +176,6 @@ class IntervalTiling:
         right = abs(float(e[min(i, len(e) - 1)]) - u)
         return min(left, right)
 
-    @property
-    def lengths(self) -> np.ndarray:
-        return self.hi - self.lo
-
     def rows(self):
         """(label, a, b, slice_level) tuples for CSV dumps."""
         for n, a, b in zip(self.labels, self.lo, self.hi):

@@ -15,19 +15,26 @@ from meandimlab.checks import (
     FIBER_WIDTH,
     PAIR_SEPARATION,
 )
+from meandimlab.config import default_config, resolve
 from meandimlab.dynsys import (
     ConfigurationError,
     OrbitWindow,
     SystemSpec,
     bowen_dist,
+    bowen_dmat,
     sample_points,
+    sup_dmat,
 )
 from meandimlab.fibre import (
+    ChainProbe,
     FiberError,
     FiberReport,
     FMap,
     FMapConstruction,
+    _certify_lookback,
+    _close_pairs,
     _dmat_widim_upper,
+    _pair_separation_check,
     _pairwise_atom_dmat,
     build_fmap,
     check_fiber_bound,
@@ -38,7 +45,14 @@ from meandimlab.fibre import (
     verify_fiber_bound,
 )
 from meandimlab.marker import make_marker_spec
-from meandimlab.signal import SignalParams
+from meandimlab.pipeline import _counts, _star_map
+from meandimlab.signal import (
+    SignalParams,
+    admissible_recovery_starts,
+    alpha_band,
+    factor_context,
+    factor_image,
+)
 from meandimlab.tiling import TilingParams
 from meandimlab.widim import CellSpace, min_multiplicity, nerve_and_projection
 
@@ -412,3 +426,145 @@ def test_chain_containment_failure_raises(suite):
             pool, mspec, tparams, sparams, flipping,
             eps=0.25, horizon=2, delta=0.5, probe_count=2, seed=2,
         )
+
+
+# ---------------------------------------------------------------------------
+# the chain against its per-probe reference
+
+
+def reference_chain(pool, mspec, tparams, sparams, F_oracle, eps, horizon, delta,
+                    probe_count, seed):
+    """The chain one probe draw at a time: dense sup_dmat closeness, one
+    oracle call per (member, admissible start), every repeated probe
+    recomputed.  Returns (probes, max_ratio, (passed, detail) per check)."""
+    m, K = sparams.m, tparams.K
+    tol = eps / 10.0
+    window = (-K, K + m - 2)
+    ctxs = [factor_context(x, mspec, tparams, sparams, window) for x in pool]
+    imgs = [factor_image(ctx, sparams, F_oracle) for ctx in ctxs]
+    G = np.stack([f.g_seq for f in imgs])
+    PHI = np.stack([f.phi_seq for f in imgs])
+    close = np.maximum(sup_dmat(G), sup_dmat(PHI)) <= tol
+    bowen = bowen_dmat(pool, horizon)
+    rng = np.random.default_rng([seed, len(pool), probe_count])
+    chosen = rng.choice(len(pool), size=probe_count, replace=probe_count > len(pool))
+    lo = window[0]
+    records, members_total, blocks_total, max_ratio = [], 0, 0, 0.0
+    for i in map(int, chosen):
+        members = np.nonzero(close[i])[0]
+        blocks = 0
+        for j in map(int, members):
+            _certify_lookback(ctxs[j], tparams)
+            starts = admissible_recovery_starts(ctxs[j], sparams)
+            matched = 0
+            for a in map(int, starts[(starts >= -K) & (starts <= K)]):
+                F = np.asarray(F_oracle(pool[j].shifted(a)), dtype=np.float64)
+                if np.abs(G[i, a - lo : a - lo + m - 1] - F).max() <= tol:
+                    matched += 1
+            if matched == 0:
+                raise FiberError(f"pool point {j} in the fiber of probe {i}")
+            blocks += matched
+        wid = _dmat_widim_upper(bowen[np.ix_(members, members)], eps)
+        max_ratio = max(max_ratio, wid / horizon)
+        members_total += len(members)
+        blocks_total += blocks
+        records.append(ChainProbe(i, len(members), blocks, wid, wid / horizon))
+    sep = _pair_separation_check(mspec, tparams, sparams)
+    checks = [
+        (True, f"{members_total} fiber members over {len(records)} probes matched "
+               f"{blocks_total} oracle blocks inside [-{K}, {K}]"),
+        (max_ratio < delta,
+         f"max Widim(fiber, d_{horizon})/{horizon} = {max_ratio:.4g} vs target {delta}"),
+        (sep.passed, sep.detail),
+    ]
+    return tuple(records), max_ratio, checks
+
+
+def read_symbols(ctx, sparams, F):
+    """Symbols of ctx.x its factor window reads: the StarMap block
+    [s - tau, s + n_h - 1 + tau] of every collar block start s.  Phi, the
+    marker and the tiling read only the circle coordinate."""
+    m = sparams.m
+    collar = np.flatnonzero(alpha_band(ctx.dist, m) > 0.0)
+    t = ctx.ks[collar]
+    starts = np.unique(t - (t - ctx.owners[collar]) % (m - 1))
+    reach = np.arange(-F.tau, F.n_horizon + F.tau)
+    return set((starts[:, None] + reach).ravel().tolist())
+
+
+@pytest.fixture(scope="module")
+def default_chain_inputs():
+    config = default_config(seed=0)
+    res = resolve(config)
+    counts = _counts(config.sample_count)
+    pool = sample_points(config.system, counts["pool_size"], config.seed + 4)
+    kw = dict(
+        eps=config.eps,
+        horizon=res.numbers.n_horizon,
+        delta=res.fiber_bound,
+        probe_count=counts["probe_count"],
+        seed=config.seed + 4,
+    )
+    return res, pool, kw
+
+
+def assert_chain_matches_reference(res, pool, kw):
+    F = _star_map(res, 0)
+    args = (pool, res.mspec, res.tparams, res.sparams)
+    fast = fiber_width_chain(*args, F, **kw)
+    probes, max_ratio, checks = reference_chain(*args, _star_map(res, 0), **kw)
+    assert fast.probes == probes
+    assert fast.max_ratio == max_ratio
+    assert [(c.passed, c.detail) for c in fast.checks] == checks
+    return fast
+
+
+def test_chain_matches_reference_on_default_pool(default_chain_inputs):
+    res, pool, kw = default_chain_inputs
+    fast = assert_chain_matches_reference(res, pool, kw)
+    assert len(fast.probes) == kw["probe_count"]
+    assert len({p.index for p in fast.probes}) < len(fast.probes)  # repeats drawn
+
+
+def test_chain_matches_reference_on_multi_member_fibres(default_chain_inputs):
+    """A copy of a pool point with every unread stored cube symbol
+    resampled has a bitwise-equal pi window, so the two share a fibre."""
+    res, pool, kw = default_chain_inputs
+    sparams, K = res.sparams, res.tparams.K
+    window = (-K, K + sparams.m - 2)
+    F = _star_map(res, 0)
+    x = pool[0]
+    ctx = factor_context(x, res.mspec, res.tparams, sparams, window)
+    read = read_symbols(ctx, sparams, F)
+    r = x.radius
+    unread = [k for k in range(-r, r + 1) if k not in read]
+    assert len(unread) > r  # most stored symbols are never read
+    cube = x.cube.copy()
+    rng = np.random.default_rng(99)
+    cube[np.array(unread) + r] = rng.random((len(unread), x.spec.D))
+    y = OrbitWindow(x.spec, cube, x.circle_num)
+    assert not np.array_equal(y.cube, x.cube)
+    a = factor_image(ctx, sparams, F)
+    b = factor_image(factor_context(y, res.mspec, res.tparams, sparams, window), sparams, F)
+    assert a.g_seq.tobytes() == b.g_seq.tobytes()
+    assert a.phi_seq.tobytes() == b.phi_seq.tobytes()
+
+    fast = assert_chain_matches_reference(res, pool + [y], kw)
+    assert any(p.fiber_size > 1 for p in fast.probes)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 256])
+def test_close_pairs_matches_sup_dmat(chunk):
+    rng = np.random.default_rng(chunk)
+    A = np.round(rng.random((9, 20)) * 4) / 8  # ties and exact-tol gaps
+    B = np.round(rng.random((9, 20)) * 4) / 8
+    A[3] = A[5]
+    B[3] = B[5]  # one pair close in both arrays
+    A[6] = A[2] + 0.125
+    B[6] = B[2]  # one pair exactly tol apart
+    A[7, 19] = np.nan  # a NaN is close to nothing
+    for tol in (0.0, 0.125, 0.2, 0.5):
+        ref = np.maximum(sup_dmat(A), sup_dmat(B)) <= tol
+        assert np.array_equal(_close_pairs((A, B), tol, chunk=chunk), ref)
+        assert np.array_equal(_close_pairs((B, A), tol, chunk=chunk), ref)
+    assert _close_pairs((A, B), 0.125, chunk=chunk)[2, 6]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meandimlab.checks import BAND_RECOVERY
 from meandimlab.config import default_config, resolve
 from meandimlab.dynsys import ConfigurationError, SystemSpec, make_point, sample_points
 from meandimlab.marker import make_marker_spec
@@ -16,7 +17,6 @@ from meandimlab.pipeline import (
     PipelineError,
     StarMap,
     _clustered_space,
-    _freudenthal_carrier,
     _star_transfer,
     band_suite,
     hurewicz_report,
@@ -26,7 +26,14 @@ from meandimlab.pipeline import (
     tiling_suite,
     write_report,
 )
-from meandimlab.signal import GammaVariant, SignalParams
+from meandimlab.signal import (
+    GammaVariant,
+    SignalParams,
+    admissible_recovery_starts,
+    check_band_recovery,
+    factor_context,
+    factor_image,
+)
 from meandimlab.tiling import TilingParams
 
 SYS = SystemSpec()
@@ -48,6 +55,56 @@ def default_report():
 
 # ---------------------------------------------------------------------------
 # simplex carrier and the block oracle
+
+
+def _freudenthal_carrier(p: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Vertices and barycentric weights of the standard-triangulation simplex
+    containing p (unit lattice, Kuhn subdivision): the per-point reference
+    of ``StarMap.batch``.
+
+    Walk from floor(p) by unit steps in coordinates ordered by descending
+    fractional part; the weights are the consecutive differences of the
+    sorted fractional parts, padded with 1 - max and min.  Sum is 1 and the
+    weighted vertex sum reproduces p exactly.
+    """
+    base = np.floor(p).astype(np.int64)
+    f = p - base
+    order = np.argsort(-f, kind="stable")
+    verts = [base]
+    v = base
+    for i in order:
+        v = v.copy()
+        v[i] += 1
+        verts.append(v)
+    fs = f[order]
+    w = np.empty(len(p) + 1)
+    w[0] = 1.0 - fs[0]
+    w[1:-1] = fs[:-1] - fs[1:]
+    w[-1] = fs[-1]
+    return verts, w
+
+
+def _reference_carrier(F: StarMap, x):
+    """The point of F(x) on the scaled lattice and its Kuhn carrier, one
+    point at a time: cube block over [-tau, n_h - 1 + tau], then the
+    circle coordinate on its own lattice of circle_cells steps."""
+    block = x.cube_block(-F.tau, F.n_horizon - 1 + F.tau).ravel()
+    L = F.circle_cells
+    p = np.concatenate([block / F.step, [x.circle_point(0) * L]])
+    return _freudenthal_carrier(p)
+
+
+def _reference_star_value(F: StarMap, x) -> np.ndarray:
+    """F(x) by the per-point carrier loop: each positive-weight vertex adds
+    weight * its draw, in carrier order."""
+    verts, weights = _reference_carrier(F, x)
+    L = F.circle_cells
+    out = np.zeros(F.m - 1)
+    for v, w in zip(verts, weights):
+        if w > 0.0:
+            key = (*(int(c) for c in v[:-1]), int(v[-1]) % L)
+            out += w * F._vertex_image(key)
+    return out
 
 
 def test_carrier_interval():
@@ -106,6 +163,35 @@ def test_star_map_vertex_memo_is_transparent():
     assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
     assert F._images
     assert F == StarMap(system=SYS, eps_half=0.125, n_horizon=3, m=5, seed=2)
+
+
+@pytest.mark.parametrize("D", [1, 2])
+@pytest.mark.parametrize("eps_half, n_horizon, m", [(0.125, 5, 13), (0.125, 3, 3), (0.3, 2, 5)])
+def test_star_map_batch_matches_reference(D, eps_half, n_horizon, m):
+    """One batched call equals the per-point carrier loop bit for bit, at
+    block starts inside, across and outside the stored window, and draws
+    exactly the vertices the loop draws (none of zero weight)."""
+    spec = SystemSpec(D=D)
+    # a lattice point (every fractional part 0: one vertex of weight 1) and
+    # sampled points, shifted so the stored window is off-centre
+    xs = [make_point(spec, cube=0.25, circle=0)] + sample_points(spec, 3, seed=D)
+    r = spec.window_radius
+    starts = np.array(
+        [*range(-r - 14, -r + 10), *range(-20, 20), *range(r - 10, r + 14), -(10**6), 10**6]
+    )
+    fast = StarMap(spec, eps_half, n_horizon, m, seed=4)
+    slow = StarMap(spec, eps_half, n_horizon, m, seed=4)
+    for x in (y.shifted(5) for y in xs):
+        got = fast.batch(x, starts)
+        ref = np.stack([_reference_star_value(slow, x.shifted(int(s))) for s in starts])
+        assert got.shape == (len(starts), m - 1)
+        assert got.tobytes() == ref.tobytes()
+        assert fast(x).tobytes() == _reference_star_value(slow, x).tobytes()
+    assert fast._images.keys() == slow._images.keys()
+    drawn = len(fast._images)
+    assert fast.batch(xs[1], []).shape == (0, m - 1)
+    assert fast.batch(xs[1], np.empty(0, dtype=np.int64)).shape == (0, m - 1)
+    assert len(fast._images) == drawn
 
 
 def test_star_map_validation():
@@ -170,6 +256,41 @@ def test_band_suite_small(small):
     assert first.g_seq is not None and len(first.g_seq) >= 400
     rows = list(first.rows())
     assert rows[0][0] == 0
+
+
+def test_band_recovery_fails_on_a_corrupted_vertex(small):
+    """Negative control: an oracle that differs from the one that built
+    the g window in one vertex draw, read with positive weight by the
+    first admissible block, fails band-recovery at that block."""
+    mspec, tparams, sparams = small
+    F = StarMap(system=SYS, eps_half=0.125, n_horizon=3, m=3, seed=5)
+    x = sample_points(SYS, 1, seed=4)[0]
+    ctx = factor_context(x, mspec, tparams, sparams, (0, 399))
+    fimg = factor_image(ctx, sparams, F)
+    starts = admissible_recovery_starts(ctx, sparams)
+    assert len(starts) >= 1
+    assert check_band_recovery(ctx, fimg, F, sparams).passed
+
+    a = int(starts[0])
+    verts, w = _reference_carrier(F, x.shifted(a))
+    v = verts[int(np.argmax(w))]
+    key = (*v[:-1].tolist(), int(v[-1]) % F.circle_cells)
+    corrupted = StarMap(system=SYS, eps_half=0.125, n_horizon=3, m=3, seed=5)
+    corrupted._images[key] = 1.0 - F._vertex_image(key)
+    res = check_band_recovery(ctx, fimg, corrupted, sparams)
+    assert res.check_id == BAND_RECOVERY
+    assert not res.passed
+    assert res.witness == a
+
+    # one coordinate of one block off is enough, for a plain oracle too
+    def last_off(ow):
+        out = F(ow).copy()
+        if ow.offset == x.offset + a:
+            out[-1] = 1.0 - out[-1]
+        return out
+
+    res = check_band_recovery(ctx, fimg, last_off, sparams)
+    assert not res.passed and res.witness == a
 
 
 def test_clustered_space_has_clusters():

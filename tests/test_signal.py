@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from meandimlab.config import default_config, resolve
 from meandimlab.dynsys import ConfigurationError, SystemSpec, make_point, sample_points
 from meandimlab.marker import make_marker_spec, marker_sequence, support_window_for
+from meandimlab.pipeline import StarMap
 from meandimlab.signal import (
     FactorContext,
     FactorImage,
@@ -32,6 +33,7 @@ from meandimlab.signal import (
     g_value,
     gamma,
     h_value,
+    oracle_blocks,
     phi_map,
     pi_map,
     plateau_report,
@@ -697,6 +699,57 @@ def test_g_matches_pointwise_evaluation(suite, instance):
         seq = marker_sequence(mspec, xs, s_lo, s_hi)
         tl = slice_tiling(seq, tparams, tparams.H, (-20, 20))
         assert g_value(tl, F, xs, sparams) == pytest.approx(fimg.g_at(t), abs=1e-9)
+
+
+def reference_g(ctx, sparams, F_oracle):
+    """The g window one collar coordinate at a time, with one oracle call
+    per new block start: the reference of factor_image's vectorised g."""
+    m = sparams.m
+    band = alpha_band(ctx.dist, m)
+    g = np.zeros(len(ctx.ks))
+    cache = {}
+    for i in np.nonzero(band > 0.0)[0]:
+        t = int(ctx.ks[i])
+        s = t - ((t - int(ctx.owners[i])) % (m - 1))
+        if s not in cache:
+            cache[s] = np.asarray(F_oracle(ctx.x.shifted(s)), dtype=np.float64)
+        g[i] = band[i] * cache[s][t - s]
+    return g
+
+
+@pytest.mark.parametrize("seed", [5, 42])
+def test_g_window_matches_per_coordinate_reference(suite, seed):
+    mspec, tparams, sparams = suite
+    x = sample_points(SYS, 1, seed=seed)[0].shifted(-40)
+    ctx = factor_context(x, mspec, tparams, sparams, (-700, 700))
+    for F in (oracle_for(sparams.m), StarMap(SYS, 0.125, 3, sparams.m, seed=1)):
+        ref = reference_g(ctx, sparams, F)
+        assert np.count_nonzero(ref) > 0
+        assert factor_image(ctx, sparams, F).g_seq.tobytes() == ref.tobytes()
+
+
+def test_oracle_blocks_batched_and_plain(suite, instance):
+    mspec, tparams, sparams = suite
+    x, ctx, _ = instance
+    m = sparams.m
+    starts = np.array([-5, 0, 7, 7, 400])
+    plain = oracle_for(m)
+    got = oracle_blocks(plain, x, starts, m)
+    assert got.shape == (5, m - 1)
+    assert all(np.array_equal(got[i], plain(x.shifted(int(s)))) for i, s in enumerate(starts))
+    F = StarMap(SYS, 0.125, 3, m, seed=1)
+    ref = np.stack([F(x.shifted(int(s))) for s in starts])
+    assert oracle_blocks(F, x, starts, m).tobytes() == ref.tobytes()
+    # no start, no call
+    calls = []
+    assert oracle_blocks(calls.append, x, [], m).shape == (0, m - 1)
+    assert not calls
+    # a wrong width is a configuration error for both kinds of oracle
+    for wrong in (oracle_for(m + 1), StarMap(SYS, 0.125, 3, m + 1)):
+        with pytest.raises(ConfigurationError):
+            oracle_blocks(wrong, x, starts, m)
+        with pytest.raises(ConfigurationError):
+            factor_image(ctx, sparams, wrong)
 
 
 def test_pi_shift_covariance(suite):
