@@ -35,6 +35,7 @@ from .widim import mdim_estimate, pattern_series
 
 SCHEMA = "meandimlab/v1"
 HORIZON_CAP = 12  # largest Bowen horizon the width estimates touch
+CERT_CELLS = 6  # cells per axis of the exact width certificate's cube grid
 
 
 @dataclass(frozen=True)

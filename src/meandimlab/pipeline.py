@@ -44,6 +44,7 @@ from .checks import (
     CheckSuite,
 )
 from .config import (
+    CERT_CELLS,
     HORIZON_CAP,
     ExperimentConfig,
     ResolvedParams,
@@ -1078,12 +1079,13 @@ def hurewicz_report(
         n_cert = 2 if D == 1 else 1
         grid_dim = min(D * n_cert, 2)
         eps_cert = max(0.9, 2.0 * config.eps)
-        res = min_multiplicity(CellSpace.cube_grid(grid_dim, 6), eps_cert, mode="exact")
+        grid = CellSpace.cube_grid(grid_dim, CERT_CELLS)
+        res = min_multiplicity(grid, eps_cert, mode="exact")
         certified = res.certified_lower if res.certified_lower is not None else 0
         lower = certified / n_cert
         cert = {
             "grid_dim": grid_dim,
-            "cells": 6,
+            "cells": CERT_CELLS,
             "eps": eps_cert,
             "certified_lower": int(certified),
             "n_horizon": n_cert,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,13 @@ class CellSpace:
                 raise ConfigurationError("distance matrix must be square")
             if np.any(d < 0) or not np.allclose(d, d.T, atol=1e-12):
                 raise ConfigurationError("distance matrix must be symmetric nonnegative")
+            ids = np.fromiter(itertools.chain.from_iterable(self.buckets), dtype=np.int64)
+            if min(map(len, self.buckets)) == 0 or not np.array_equal(
+                np.sort(ids), np.arange(d.shape[0])
+            ):
+                raise ConfigurationError(
+                    "buckets must be nonempty, disjoint and cover every sample"
+                )
 
     # -- flavor and shape ---------------------------------------------------
 
@@ -136,28 +144,46 @@ class CellSpace:
         space = cls(
             dmat=dmat, buckets=tuple(tuple(b) for b in members), adj_tol=adj_tol
         )
-        for b in space.buckets:
-            if space._bucket_diam(b) >= max_diam:
-                raise ResolutionError(
-                    f"bucket diameter {space._bucket_diam(b):.3g} >= {max_diam:.3g}"
-                )
+        diam = space._bucket_dists[1].diagonal()
+        too_wide = np.nonzero(diam >= max_diam)[0]
+        if len(too_wide):
+            raise ResolutionError(
+                f"bucket diameter {float(diam[too_wide[0]]):.3g} >= {max_diam:.3g}"
+            )
         return space
 
     # -- metric data --------------------------------------------------------
 
-    def _bucket_diam(self, bucket) -> float:
-        ids = np.fromiter(bucket, dtype=np.int64)
-        return float(self.dmat[np.ix_(ids, ids)].max())
+    @cached_property
+    def _bucket_dists(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket metric of a sample space, built once: (B, B) matrices of
+        the least distance between distinct buckets (zero diagonal) and of
+        the largest, whose diagonal holds the bucket diameters.
+
+        The dmat is taken in bucket order, so every bucket is one run of
+        rows and columns and reduceat at the run starts reduces each block.
+        Entry [a, b] of the largest distances reads rows of a and columns
+        of b; the least distances read the upper block for both [a, b] and
+        [b, a], as the dmat is only symmetric up to rounding.
+        """
+        order = np.fromiter(itertools.chain.from_iterable(self.buckets), dtype=np.int64)
+        sizes = np.fromiter(map(len, self.buckets), dtype=np.int64)
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        d = self.dmat[np.ix_(order, order)]
+        bmin = np.triu(np.minimum.reduceat(np.minimum.reduceat(d, starts, 0), starts, 1), 1)
+        bmin += bmin.T
+        bmax = np.maximum.reduceat(np.maximum.reduceat(d, starts, 0), starts, 1)
+        return bmin, bmax
 
     def atom_diameter(self, a: int) -> float:
         if self.is_grid:
             return max(ax.width * ax.weight for ax in self.axes)
-        return self._bucket_diam(self.buckets[a])
+        return float(self._bucket_dists[1][a, a])
 
     def max_atom_diameter(self) -> float:
         if self.is_grid:
             return max(ax.width * ax.weight for ax in self.axes)
-        return max(self._bucket_diam(b) for b in self.buckets)
+        return float(self._bucket_dists[1].diagonal().max())
 
     def element_diameter(self, atoms) -> float:
         """Exact diameter of the closed union of the given atoms."""
@@ -184,21 +210,11 @@ class CellSpace:
             return self.element_diameter(range(self.n_atoms))
         return float(self.dmat.max())
 
-    def _bucket_min_dist(self) -> np.ndarray:
-        B = len(self.buckets)
-        out = np.zeros((B, B))
-        for a in range(B):
-            ia = np.fromiter(self.buckets[a], dtype=np.int64)
-            for b in range(a + 1, B):
-                ib = np.fromiter(self.buckets[b], dtype=np.int64)
-                out[a, b] = out[b, a] = self.dmat[np.ix_(ia, ib)].min()
-        return out
-
     def adjacency(self) -> np.ndarray:
         """Symmetric closed-neighborhood matrix (diagonal True)."""
         if self.is_grid:
             raise ConfigurationError("grid adjacency is implicit in the lattice")
-        return self._bucket_min_dist() <= self.adj_tol
+        return self._bucket_dists[0] <= self.adj_tol
 
 
 def _circular_extent(idx: np.ndarray, ax: Axis) -> float:
@@ -237,24 +253,26 @@ def _vertex_shape(space: CellSpace) -> tuple[int, ...]:
     return tuple(ax.count if ax.periodic else ax.count + 1 for ax in space.axes)
 
 
-def _element_mask(space: CellSpace, atoms) -> np.ndarray:
-    mask = np.zeros(space.shape, dtype=bool)
-    ids = np.fromiter(atoms, dtype=np.int64)
-    mask[np.unravel_index(ids, space.shape)] = True
-    return mask
+def _element_masks(space: CellSpace, elements) -> np.ndarray:
+    """(elements, atoms) membership matrix."""
+    masks = np.zeros((len(elements), space.n_atoms), dtype=bool)
+    for e, E in enumerate(elements):
+        masks[e, np.fromiter(E, dtype=np.int64)] = True
+    return masks
 
 
-def _touched_vertices(space: CellSpace, mask: np.ndarray) -> np.ndarray:
-    """Grid vertices lying on the closure of the masked atom union."""
-    out = np.zeros(_vertex_shape(space), dtype=bool)
+def _touched_vertices(space: CellSpace, masks: np.ndarray) -> np.ndarray:
+    """Grid vertices lying on the closure of each masked atom union: atom
+    masks (K, *shape) give vertex masks (K, *vertex shape)."""
+    out = np.zeros((len(masks),) + _vertex_shape(space), dtype=bool)
     nd = len(space.axes)
     for shift in itertools.product((0, 1), repeat=nd):
-        c = mask
-        sl = []
+        c = masks
+        sl = [slice(None)]
         for i, ax in enumerate(space.axes):
             if ax.periodic:
                 if shift[i]:
-                    c = np.roll(c, 1, axis=i)
+                    c = np.roll(c, 1, axis=i + 1)
                 sl.append(slice(None))
             else:
                 sl.append(slice(shift[i], shift[i] + ax.count))
@@ -262,22 +280,19 @@ def _touched_vertices(space: CellSpace, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _element_vertices(space: CellSpace, elements) -> np.ndarray:
+    """(elements, vertices) closure-incidence matrix of a grid cover."""
+    masks = _element_masks(space, elements).reshape((-1,) + space.shape)
+    return _touched_vertices(space, masks).reshape(len(masks), -1)
+
+
 def _grid_multiplicity(space: CellSpace, elements) -> int:
-    counts = np.zeros(_vertex_shape(space), dtype=np.int32)
-    for E in elements:
-        counts += _touched_vertices(space, _element_mask(space, E))
-    return int(counts.max())
+    return int(_element_vertices(space, elements).sum(axis=0, dtype=np.int32).max())
 
 
 def _sample_multiplicity(space: CellSpace, elements) -> int:
-    adj = space.adjacency()
-    B = space.n_atoms
-    counts = np.zeros(B, dtype=np.int32)
-    for E in elements:
-        mask = np.zeros(B, dtype=bool)
-        mask[np.fromiter(E, dtype=np.int64)] = True
-        counts += adj[mask].any(axis=0)
-    return int(counts.max())
+    meets = _element_masks(space, elements) @ space.adjacency()
+    return int(meets.sum(axis=0, dtype=np.int32).max())
 
 
 def cover_stats(cover: CellCover) -> tuple[float, int]:
@@ -337,25 +352,25 @@ def staircase_cover(space: CellSpace, eps: float) -> CellCover:
 
 
 def _greedy_sample_cover(space: CellSpace, eps: float, order: np.ndarray) -> CellCover:
-    bmin = space._bucket_min_dist()
-    B = space.n_atoms
-    diam = np.array([space._bucket_diam(b) for b in space.buckets])
-    assigned = np.zeros(B, dtype=bool)
+    """Leader growth: each unassigned seed in `order` takes the unassigned
+    buckets nearest to it first, while the element stays below eps wide.
+
+    `reach` holds the largest distance from the element's points to each
+    bucket's, so a candidate's width is one lookup.
+    """
+    bmin, bmax = space._bucket_dists
+    assigned = [False] * space.n_atoms
     elements = []
-    pts = [np.fromiter(b, dtype=np.int64) for b in space.buckets]
-    for seed in order:
+    for seed in order.tolist():
         if assigned[seed]:
             continue
-        E = [int(seed)]
-        epts = pts[seed]
+        E = [seed]
         assigned[seed] = True
-        for b in np.argsort(bmin[seed]):
-            if assigned[b] or b == seed:
-                continue
-            cand = float(space.dmat[np.ix_(epts, pts[b])].max())
-            if max(cand, diam[b]) < eps:
-                E.append(int(b))
-                epts = np.concatenate([epts, pts[b]])
+        reach = bmax[seed].copy()
+        for b in np.argsort(bmin[seed]).tolist():
+            if not assigned[b] and max(reach[b], bmax[b, b]) < eps:
+                E.append(b)
+                np.maximum(reach, bmax[b], out=reach)
                 assigned[b] = True
         elements.append(frozenset(E))
     return CellCover(space=space, elements=tuple(elements))
@@ -390,29 +405,21 @@ def _box_dictionary(space: CellSpace, eps: float):
     for ax in space.axes:
         if ax.periodic:
             raise ConfigurationError("exact mode supports non-periodic grids only")
-    per_axis = []
+    # boxes in itertools.product order over per-axis intervals [a, b]: the
+    # atom mask is the outer product of the per-axis interval indicators
+    masks = np.ones((1, 1), dtype=bool)
     for ax in space.axes:
         unit = ax.width * ax.weight
-        ivs = [
-            (a, b)
-            for a in range(ax.count)
-            for b in range(a, ax.count)
-            if (b - a + 1) * unit < eps
-        ]
-        if not ivs:
+        lo, hi = np.triu_indices(ax.count)
+        keep = (hi - lo + 1) * unit < eps
+        if not keep.any():
             raise ResolutionError("eps at or below atom resolution")
-        per_axis.append(ivs)
-    boxes = []
-    for combo in itertools.product(*per_axis):
-        mask = np.zeros(space.shape, dtype=bool)
-        mask[tuple(slice(a, b + 1) for a, b in combo)] = True
-        boxes.append(_as_search_box(space, mask))
-    boxes.sort(key=lambda bx: -int(bx[0].sum()))
-    return boxes
-
-
-def _as_search_box(space: CellSpace, mask: np.ndarray):
-    return mask.reshape(-1), _touched_vertices(space, mask).reshape(-1)
+        cells = np.arange(ax.count)
+        ivs = (lo[keep, None] <= cells) & (cells <= hi[keep, None])
+        masks = (masks[:, None, :, None] & ivs[None, :, None, :]).reshape(
+            len(masks) * len(ivs), -1
+        )
+    return _search_boxes(space, masks)
 
 
 def _subset_dictionary(space: CellSpace, eps: float):
@@ -429,41 +436,51 @@ def _subset_dictionary(space: CellSpace, eps: float):
             mask = np.zeros(A, dtype=bool)
             mask[atoms] = True
             subsets.append(mask)
-    boxes = [_as_search_box(space, m.reshape(space.shape)) for m in subsets]
-    boxes.sort(key=lambda bx: -int(bx[0].sum()))
-    return boxes
+    return _search_boxes(space, np.array(subsets))
+
+
+def _search_boxes(space: CellSpace, masks: np.ndarray):
+    """(atom mask, vertex mask) pairs of the flat atom masks, biggest first
+    (stable, so equal sizes keep their order)."""
+    verts = _touched_vertices(space, masks.reshape((-1,) + space.shape))
+    verts = verts.reshape(len(masks), -1)
+    order = np.argsort(-masks.sum(axis=1), kind="stable")
+    return list(zip(masks[order], verts[order]))
 
 
 class _Budget(Exception):
     pass
 
 
+def _row_bits(rows: np.ndarray) -> tuple[int, ...]:
+    """Each boolean row as a Python int with bit j set where row[j]."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
+
+
 @dataclass(frozen=True)
 class _SearchIndex:
-    """Incidence lists of a box dictionary, built once for every t."""
+    """Incidence bitmasks of a box dictionary, built once for every t:
+    atoms and vertices of each box, boxes of each atom and of each vertex."""
 
-    box_atoms: tuple[tuple[int, ...], ...]
-    box_verts: tuple[tuple[int, ...], ...]
-    atom_boxes: tuple[tuple[int, ...], ...]
-    vert_boxes: tuple[tuple[int, ...], ...]
+    box_atoms: tuple[int, ...]
+    box_verts: tuple[int, ...]
+    atom_boxes: tuple[int, ...]
+    vert_boxes: tuple[int, ...]
 
     @classmethod
     def of(cls, boxes) -> "_SearchIndex":
-        box_atoms = tuple(tuple(np.nonzero(mask)[0].tolist()) for mask, _ in boxes)
-        box_verts = tuple(tuple(np.nonzero(vmask)[0].tolist()) for _, vmask in boxes)
-        atom_boxes = [[] for _ in range(len(boxes[0][0]))]
-        vert_boxes = [[] for _ in range(len(boxes[0][1]))]
-        for bi, (atoms, verts) in enumerate(zip(box_atoms, box_verts)):
-            for a in atoms:
-                atom_boxes[a].append(bi)
-            for v in verts:
-                vert_boxes[v].append(bi)
-        return cls(
-            box_atoms,
-            box_verts,
-            tuple(map(tuple, atom_boxes)),
-            tuple(map(tuple, vert_boxes)),
-        )
+        atoms = np.array([mask for mask, _ in boxes])
+        verts = np.array([vmask for _, vmask in boxes])
+        return cls(_row_bits(atoms), _row_bits(verts), _row_bits(atoms.T), _row_bits(verts.T))
+
+
+def _bit_ids(bits: int):
+    """Set bit positions of a nonnegative int, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def _search_cover(index: _SearchIndex, t: int, budget_left) -> list[int] | None:
@@ -474,77 +491,54 @@ def _search_cover(index: _SearchIndex, t: int, budget_left) -> list[int] | None:
     box (none refutes the node), else on the first open atom with the
     fewest, trying its candidates by descending count of open atoms they
     contain.  A box is a candidate while none of its vertices has count t.
-    Per-box blocked-vertex and open-atom counts and per-atom candidate
-    counts are updated on push and pop, only where a vertex count crosses t
-    or an atom opens or closes.
+    A node's state is three ints: the covered atoms, t count layers of the
+    vertices (layer k holds the vertices of count >= k + 1) and the blocked
+    boxes.  A push ORs the box's masks in and blocks the boxes of every
+    vertex it brings to count t; the parent's ints are untouched, so a pop
+    costs nothing.
     """
-    box_atoms, box_verts = index.box_atoms, index.box_verts
-    atom_boxes, vert_boxes = index.atom_boxes, index.vert_boxes
-    n_atoms = len(atom_boxes)
-    counts = [0] * len(vert_boxes)
-    covered = [0] * n_atoms
-    blocked = [0] * len(box_atoms)
-    n_cand = [len(bs) for bs in atom_boxes]
-    n_open = [len(atoms) for atoms in box_atoms]
+    box_atoms, box_verts, vert_boxes = index.box_atoms, index.box_verts, index.vert_boxes
+    atoms = [(1 << a, bs, tuple(_bit_ids(bs))) for a, bs in enumerate(index.atom_boxes)]
 
-    def push(bi):
-        for v in box_verts[bi]:
-            counts[v] += 1
-            if counts[v] == t:
-                for b in vert_boxes[v]:
-                    blocked[b] += 1
-                    if blocked[b] == 1:
-                        for a in box_atoms[b]:
-                            n_cand[a] -= 1
-        for a in box_atoms[bi]:
-            covered[a] += 1
-            if covered[a] == 1:
-                for b in atom_boxes[a]:
-                    n_open[b] -= 1
-
-    def pop(bi):
-        for a in box_atoms[bi]:
-            covered[a] -= 1
-            if covered[a] == 0:
-                for b in atom_boxes[a]:
-                    n_open[b] += 1
-        for v in box_verts[bi]:
-            if counts[v] == t:
-                for b in vert_boxes[v]:
-                    blocked[b] -= 1
-                    if blocked[b] == 0:
-                        for a in box_atoms[b]:
-                            n_cand[a] += 1
-            counts[v] -= 1
-
-    def dfs():
+    def dfs(covered, layers, blocked):
         budget_left[0] -= 1
         if budget_left[0] < 0:
             raise _Budget
-        best = -1
-        for a in range(n_atoms):
-            if covered[a]:
+        free = ~blocked
+        best, best_n = None, 0
+        for bit, bs, ids in atoms:
+            if covered & bit:
                 continue
-            if n_cand[a] <= 1:
-                if n_cand[a] == 0:
+            n = (bs & free).bit_count()
+            if n <= 1:
+                if n == 0:
                     return None
-                best = a
+                best = ids
                 break
-            if best < 0 or n_cand[a] < n_cand[best]:
-                best = a
-        if best < 0:
+            if best is None or n < best_n:
+                best, best_n = ids, n
+        if best is None:
             return []
-        cand = [bi for bi in atom_boxes[best] if not blocked[bi]]
-        cand.sort(key=lambda bi: -n_open[bi])
-        for bi in cand:
-            push(bi)
-            sub = dfs()
+        # (-open atoms, id) pairs sort as a stable sort by open atoms would
+        uncovered = ~covered
+        cand = sorted(
+            (-(box_atoms[bi] & uncovered).bit_count(), bi)
+            for bi in best
+            if not blocked >> bi & 1
+        )
+        for _, bi in cand:
+            vb = box_verts[bi]
+            # a candidate touches no vertex of count t, so counts stay <= t
+            grown = tuple(layers[k] | (layers[k - 1] & vb) for k in range(1, t))
+            now_blocked = blocked
+            for v in _bit_ids(vb & layers[-2] if t > 1 else vb):
+                now_blocked |= vert_boxes[v]
+            sub = dfs(covered | box_atoms[bi], (layers[0] | vb,) + grown, now_blocked)
             if sub is not None:
                 return [bi] + sub
-            pop(bi)
         return None
 
-    return dfs()
+    return dfs(0, (0,) * t, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +647,7 @@ def _exact_mode(space: CellSpace, eps: float, budget: int, dictionary: str) -> W
         if found is not None:
             cover = CellCover(
                 space=space,
-                elements=tuple(frozenset(index.box_atoms[bi]) for bi in found),
+                elements=tuple(frozenset(_bit_ids(index.box_atoms[bi])) for bi in found),
             )
             mesh, mult = cover_stats(cover)
             return WidimResult(
@@ -831,26 +825,13 @@ def _incidence_sets(cover: CellCover):
     atom neighborhood)."""
     space = cover.space
     if space.is_grid:
-        stack = np.stack(
-            [
-                _touched_vertices(space, _element_mask(space, E)).reshape(-1)
-                for E in cover.elements
-            ]
-        )
-        for v in range(stack.shape[1]):
-            ids = np.nonzero(stack[:, v])[0]
-            if len(ids):
-                yield frozenset(int(e) for e in ids)
+        meets = _element_vertices(space, cover.elements).T
     else:
-        adj = space.adjacency()
-        masks = np.zeros((len(cover.elements), space.n_atoms), dtype=bool)
-        for e, E in enumerate(cover.elements):
-            masks[e, np.fromiter(E, dtype=np.int64)] = True
-        meets = masks @ adj
-        for a in range(space.n_atoms):
-            ids = np.nonzero(meets[:, a])[0]
-            if len(ids):
-                yield frozenset(int(e) for e in ids)
+        meets = (_element_masks(space, cover.elements) @ space.adjacency()).T
+    for row in meets:
+        ids = np.nonzero(row)[0]
+        if len(ids):
+            yield frozenset(int(e) for e in ids)
 
 
 def _atom_center(space: CellSpace, a: int) -> np.ndarray:

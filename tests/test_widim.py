@@ -5,6 +5,7 @@ sample-flavor tests use small handcrafted distance matrices where the
 bucketing and adjacency structure can be enumerated by eye.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,7 @@ from meandimlab.widim import (
 from meandimlab.widim import (
     _box_dictionary,
     _Budget,
+    _greedy_sample_cover,
     _prune_redundant,
     _search_cover,
     _SearchIndex,
@@ -81,6 +83,21 @@ def test_dmat_must_be_symmetric():
     bad = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ConfigurationError):
         CellSpace(axes=(), dmat=bad, buckets=((0,), (1,)), adj_tol=0.1)
+
+
+@pytest.mark.parametrize(
+    "buckets",
+    [
+        ((0, 1), ()),  # empty bucket
+        ((0,), (1,)),  # sample 2 in no bucket
+        ((0,), (0, 1), (2,)),  # sample 0 twice
+        ((0, 1, 2, 3),),  # no sample 3
+    ],
+)
+def test_buckets_must_partition_the_samples(buckets):
+    dmat = np.abs(np.arange(3.0)[:, None] - np.arange(3.0)[None, :])
+    with pytest.raises(ConfigurationError, match="buckets"):
+        CellSpace(dmat=dmat, buckets=buckets, adj_tol=0.1)
 
 
 def test_cube_grid_shape_and_diameter():
@@ -320,22 +337,8 @@ def _t_loop(search, space, eps, budget):
     return outcomes, budget - budget_left[0]
 
 
-@pytest.mark.parametrize(
-    "dim, cells, eps, dictionary, budget",
-    [
-        (1, 8, 0.9, "boxes", 200_000),
-        (2, 4, 0.9, "boxes", 200_000),
-        (2, 5, 0.9, "boxes", 200_000),
-        (2, 6, 0.9, "boxes", 200_000),
-        (1, 12, 0.5, "boxes", 200_000),
-        (1, 8, 0.9, "atoms", 200_000),
-        (2, 6, 0.9, "boxes", 50),
-        (2, 6, 0.9, "boxes", 2000),
-    ],
-)
-def test_search_cover_matches_reference(dim, cells, eps, dictionary, budget):
+def _check_search_matches_reference(space, eps, dictionary, budget):
     # same outcome per t, same chosen boxes in order, same node count
-    space = CellSpace.cube_grid(dim, cells)
     build = _box_dictionary if dictionary == "boxes" else _subset_dictionary
     boxes = build(space, eps)
     box_id = {tuple(np.nonzero(mask)[0]): bi for bi, (mask, _) in enumerate(boxes)}
@@ -348,9 +351,82 @@ def test_search_cover_matches_reference(dim, cells, eps, dictionary, budget):
     got = _t_loop(lambda t, left: _search_cover(index, t, left), space, eps, budget)
     assert got == _t_loop(reference, space, eps, budget)
     outcomes, _ = got
-    # every case ends in a cover, except the two cut-off budgets
+    # every case ends in a cover, except the cut-off budgets
     assert (outcomes[-1] == "budget") == (budget < 200_000)
     assert outcomes[-1] is not None
+
+
+@pytest.mark.parametrize(
+    "dim, cells, eps, dictionary, budget",
+    [
+        (1, 8, 0.9, "boxes", 200_000),
+        (2, 4, 0.9, "boxes", 200_000),
+        (2, 5, 0.9, "boxes", 200_000),
+        (2, 6, 0.9, "boxes", 200_000),
+        (1, 12, 0.5, "boxes", 200_000),
+        (1, 8, 0.9, "atoms", 200_000),
+        (2, 6, 0.9, "boxes", 50),
+        (2, 6, 0.9, "boxes", 2000),
+        # 125 vertices: the vertex bitsets are wider than one machine word
+        (3, 4, 0.9, "boxes", 200_000),
+    ],
+)
+def test_search_cover_matches_reference(dim, cells, eps, dictionary, budget):
+    space = CellSpace.cube_grid(dim, cells)
+    _check_search_matches_reference(space, eps, dictionary, budget)
+
+
+@pytest.mark.parametrize(
+    "cells, weights, budget",
+    [(5, (1.0, 0.6), 200_000), (6, (1.0, 0.5), 3000), (6, (0.5, 1.0), 50)],
+)
+def test_search_cover_matches_reference_unequal_weights(cells, weights, budget):
+    space = CellSpace.cube_grid(2, cells, weights=weights)
+    _check_search_matches_reference(space, 0.9, "boxes", budget)
+
+
+def _reference_box_dictionary(space, eps):
+    """One box at a time, as (atom mask, vertex mask), biggest first."""
+    per_axis = []
+    for ax in space.axes:
+        unit = ax.width * ax.weight
+        per_axis.append(
+            [
+                (a, b)
+                for a in range(ax.count)
+                for b in range(a, ax.count)
+                if (b - a + 1) * unit < eps
+            ]
+        )
+    boxes = []
+    for combo in itertools.product(*per_axis):
+        mask = np.zeros(space.shape, dtype=bool)
+        mask[tuple(slice(a, b + 1) for a, b in combo)] = True
+        # a closed box [a, b] touches the vertices a .. b + 1 on each axis
+        vmask = np.zeros(_vertex_shape(space), dtype=bool)
+        vmask[tuple(slice(a, b + 2) for a, b in combo)] = True
+        boxes.append((mask.reshape(-1), vmask.reshape(-1)))
+    boxes.sort(key=lambda bx: -int(bx[0].sum()))
+    return boxes
+
+
+@pytest.mark.parametrize(
+    "dim, cells, eps, weights",
+    [
+        (1, 8, 0.9, None),
+        (2, 6, 0.9, None),
+        (3, 4, 1.1, None),
+        (2, 6, 0.9, (1.0, 0.5)),
+        (3, 5, 0.9, (1.0, 0.7, 0.4)),
+    ],
+)
+def test_box_dictionary_matches_reference(dim, cells, eps, weights):
+    space = CellSpace.cube_grid(dim, cells, weights=weights)
+    got = _box_dictionary(space, eps)
+    want = _reference_box_dictionary(space, eps)
+    assert len(got) == len(want)
+    for (mask, vmask), (ref_mask, ref_vmask) in zip(got, want):
+        assert np.array_equal(mask, ref_mask) and np.array_equal(vmask, ref_vmask)
 
 
 def test_exact_mode_guards():
@@ -421,6 +497,115 @@ def test_sample_sparse_line_is_zero_dimensional():
     assert nerve.dimension == 0
     assert len(nerve.maximal_simplices) == 2
     assert nerve.is_simplex({0}) and not nerve.is_simplex({0, 1})
+
+
+def _reference_bucket_min_dist(space):
+    B = len(space.buckets)
+    out = np.zeros((B, B))
+    for a in range(B):
+        ia = np.fromiter(space.buckets[a], dtype=np.int64)
+        for b in range(a + 1, B):
+            ib = np.fromiter(space.buckets[b], dtype=np.int64)
+            out[a, b] = out[b, a] = space.dmat[np.ix_(ia, ib)].min()
+    return out
+
+
+def _reference_bucket_diam(space, bucket):
+    ids = np.fromiter(bucket, dtype=np.int64)
+    return float(space.dmat[np.ix_(ids, ids)].max())
+
+
+def _reference_greedy_cover(space, eps, order):
+    """Leader growth with one gather per candidate bucket."""
+    bmin = _reference_bucket_min_dist(space)
+    B = space.n_atoms
+    diam = np.array([_reference_bucket_diam(space, b) for b in space.buckets])
+    assigned = np.zeros(B, dtype=bool)
+    elements = []
+    pts = [np.fromiter(b, dtype=np.int64) for b in space.buckets]
+    for seed in order:
+        if assigned[seed]:
+            continue
+        E = [int(seed)]
+        epts = pts[seed]
+        assigned[seed] = True
+        for b in np.argsort(bmin[seed]):
+            if assigned[b] or b == seed:
+                continue
+            cand = float(space.dmat[np.ix_(epts, pts[b])].max())
+            if max(cand, diam[b]) < eps:
+                E.append(int(b))
+                epts = np.concatenate([epts, pts[b]])
+                assigned[b] = True
+        elements.append(frozenset(E))
+    return elements
+
+
+def _random_sample_space(seed, kind):
+    """Sup distances of random plane points, rounded asymmetrically at the
+    1e-12 level (within the dmat symmetry tolerance), over buckets of one
+    kind: leader buckets of from_samples, a random partition into runs,
+    all singletons, or one bucket."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    pts = rng.random((n, 2))
+    dmat = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
+    noise = rng.random((n, n)) * 1e-12
+    np.fill_diagonal(noise, 0.0)
+    dmat = dmat + noise
+    adj_tol = float(rng.uniform(0.05, 0.3))
+    if kind == "leader":
+        return CellSpace.from_samples(dmat, max_diam=0.2, adj_tol=adj_tol)
+    if kind == "singletons":
+        buckets = tuple((i,) for i in range(n))
+    elif kind == "one":
+        buckets = (tuple(rng.permutation(n).tolist()),)
+    else:
+        perm = rng.permutation(n).tolist()
+        cuts = sorted(rng.choice(np.arange(1, n), size=min(n - 1, n // 3), replace=False))
+        buckets = tuple(tuple(perm[a:b]) for a, b in zip([0] + cuts, cuts + [n]))
+    return CellSpace(dmat=dmat, buckets=buckets, adj_tol=adj_tol)
+
+
+@pytest.mark.parametrize("kind", ["leader", "runs", "singletons", "one"])
+@pytest.mark.parametrize("seed", range(6))
+def test_bucket_metric_matches_reference(seed, kind):
+    space = _random_sample_space(seed, kind)
+    bmin, bmax = space._bucket_dists
+    ref_min = _reference_bucket_min_dist(space)
+    assert np.array_equal(bmin, ref_min)
+    diam = [_reference_bucket_diam(space, b) for b in space.buckets]
+    assert np.array_equal(bmax.diagonal(), diam)
+    assert [space.atom_diameter(a) for a in range(space.n_atoms)] == diam
+    assert space.max_atom_diameter() == max(diam)
+    for a, ia in enumerate(space.buckets):
+        for b, ib in enumerate(space.buckets):
+            assert bmax[a, b] == space.dmat[np.ix_(ia, ib)].max()
+    assert np.array_equal(space.adjacency(), ref_min <= space.adj_tol)
+
+
+@pytest.mark.parametrize("kind", ["leader", "singletons"])
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_cover_matches_reference(seed, kind):
+    # the identity order and 12 seeded permutations, drawn as local_search
+    # draws its restarts
+    space = _random_sample_space(seed, kind)
+    eps = float(space.max_atom_diameter()) + 0.3
+    rng = np.random.default_rng(seed)
+    orders = [np.arange(space.n_atoms)]
+    orders += [rng.permutation(space.n_atoms) for _ in range(12)]
+    for order in orders:
+        got = _greedy_sample_cover(space, eps, order).elements
+        assert list(got) == _reference_greedy_cover(space, eps, order)
+
+
+def test_from_samples_resolution_message():
+    # the second bucket {10, 10.5, 9.5} is the first one too wide
+    pts = np.array([0.0, 10.0, 10.5, 9.5, 20.0])
+    dmat = np.abs(pts[:, None] - pts[None, :])
+    with pytest.raises(ResolutionError) as err:
+        CellSpace.from_samples(dmat, max_diam=1.0, adj_tol=0.1)
+    assert str(err.value) == "bucket diameter 1 >= 1"
 
 
 # ---------------------------------------------------------------------------
