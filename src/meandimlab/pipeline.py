@@ -206,9 +206,16 @@ class StarMap:
         return pattern_cover_bound(self.system, self.n_horizon, self.eps_half) / self.m
 
     def _vertex_image(self, key: tuple) -> np.ndarray:
+        """The draw of default_rng([seed, m, *key]).  SeedSequence takes an
+        int in [0, 2^32) as one uint32 word, so entries in that range are
+        passed as one uint32 array, which it reads without a Python-level
+        loop; others keep the list (split into words, or rejected)."""
         image = self._images.get(key)
         if image is None:
-            rng = np.random.default_rng([self.seed, self.m, *key])
+            entropy = [self.seed, self.m, *key]
+            if 0 <= min(entropy) and max(entropy) < 2**32:
+                entropy = np.array(entropy, dtype=np.uint32)
+            rng = np.random.default_rng(entropy)
             image = self._images[key] = rng.random(self.m - 1)
         return image
 

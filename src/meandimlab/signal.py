@@ -23,10 +23,9 @@ context's active coordinates (the collar of each endpoint and the label
 neighbourhood of each tile); the plateau report takes its free fraction
 and rigid blocks from the R/3-deep run between each pair of endpoints,
 and the profile-cap check reads only the active coordinates.
-``factor_image`` builds the dense phi and g windows for the consumers
-that need every coordinate (band checks, fibre chain, traces); the
-context builds its dense owners, distances and label weights on first
-use.
+g is 0 outside the 3m-collar of the endpoints, so ``factor_image`` and
+the band checks read owners and distances only there.  The context's
+dense owners, distances and label weights are test references.
 """
 
 from __future__ import annotations
@@ -193,10 +192,12 @@ class FactorContext:
     """One window's tiling, kept per tile: the integer run each tile owns
     and the sorted tile endpoints, O(tiles) to build.
 
-    The dense per-coordinate arrays (owners, boundary distances, label
-    weights) are built only when a consumer reads them.  The phi-suite
-    checks read the tile runs, the R/3-deep runs between endpoints and
-    the ``active`` coordinates, where phi or its cap can differ from 1.0.
+    The checks and the factor image read the tile runs, the R/3-deep runs
+    between endpoints, the ``active`` coordinates, where phi or its cap
+    can differ from 1.0, and the collar ``near(r)`` of the endpoints.  The
+    dense per-coordinate arrays ``ks``, ``owners``, ``dist`` and ``gam``
+    are built on first read; only tests read them, as the references of
+    those sparse views.
     """
 
     x: OrbitWindow
@@ -216,7 +217,7 @@ class FactorContext:
         runs = _owner_runs(tiling, window)
         return cls(x, seq, tiling, window, sparams, *runs, tiling.endpoints())
 
-    # dense per-coordinate arrays, built on first use
+    # dense per-coordinate arrays: test references, built on first read
 
     @cached_property
     def ks(self) -> np.ndarray:
@@ -268,6 +269,15 @@ class FactorContext:
         return _union_of_runs(
             np.concatenate((a, np.maximum(f, lo))), np.concatenate((b, np.minimum(f + 1, hi)))
         )
+
+    def near(self, r: int) -> np.ndarray:
+        """Sorted window coordinates k with |k - floor(e)| <= r for some
+        endpoint e, in O(tiles * r).  They include every k with
+        |k - e| <= r: k >= e - r >= floor(e) - r, and k <= e + r <
+        floor(e) + 1 + r."""
+        f = np.floor(self.edges).astype(np.int64)
+        lo, hi = self.window
+        return _union_of_runs(np.maximum(f - r, lo), np.minimum(f + r, hi))
 
     @cached_property
     def active_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -457,25 +467,32 @@ def oracle_blocks(F_oracle, x: OrbitWindow, starts, m: int) -> np.ndarray:
 
 
 def factor_image(ctx: FactorContext, sparams: SignalParams, F_oracle=None) -> FactorImage:
-    """The phi window of a context, plus its g window when given an oracle.
+    """The phi window of a context, plus its g window when given an oracle,
+    in O(tiles + collar).
 
-    phi = min{dist, 1} + alpha_deep(dist) * gamma(n - k).  g reads the
-    oracle block of each collar time: inside a tile, times fall into
-    residue blocks of length m-1 and share one evaluation F(T^s x), so the
-    distinct block starts of the collar take one ``oracle_blocks`` call.
+    phi is exactly 1.0 off the context's active coordinates, so
+    ``sparse_phi`` is scattered onto a window of ones.  g is 0 outside the
+    open 3m-collar of the endpoints, which ``near(3m)`` holds, so the band
+    gate is read only there.  Inside a tile, collar times fall into
+    residue blocks of length m-1 and share one evaluation F(T^s x): the
+    distinct block starts take one ``oracle_blocks`` call.
     """
-    phi = np.minimum(ctx.dist, 1.0) + alpha_deep(ctx.dist, sparams.R) * ctx.gam
+    lo, hi = ctx.window
+    img = sparse_phi(ctx, sparams)
+    phi = np.ones(hi - lo + 1)
+    phi[img.ks - lo] = img.phi
     if F_oracle is None:
         return FactorImage(window=ctx.window, phi_seq=phi)
     m = sparams.m
-    band = alpha_band(ctx.dist, m)
+    ks = ctx.near(3 * m)
+    band = alpha_band(_boundary_dist(ctx.edges, ks), m)
     collar = np.flatnonzero(band > 0.0)
-    t = ctx.ks[collar]
-    s = t - (t - ctx.owners[collar]) % (m - 1)  # block start of each collar time
+    t = ks[collar]
+    s = t - (t - ctx.owners_at(t)) % (m - 1)  # block start of each collar time
     starts, row = np.unique(s, return_inverse=True)
     blocks = oracle_blocks(F_oracle, ctx.x, starts, m)
-    g = np.zeros(len(ctx.ks))
-    g[collar] = band[collar] * blocks[row, t - s]
+    g = np.zeros(hi - lo + 1)
+    g[t - lo] = band[collar] * blocks[row, t - s]
     return FactorImage(window=ctx.window, phi_seq=phi, g_seq=g)
 
 
@@ -646,17 +663,18 @@ def check_band_support(ctx: FactorContext, fimg: FactorImage, sparams: SignalPar
     """Nonzero g only within the open 3m-collar of the tiling boundary."""
     if fimg.g_seq is None:
         raise ConfigurationError("image carries no g window")
-    nz = fimg.g_seq != 0.0
-    count = int(np.count_nonzero(nz))
-    if count == 0:
+    if fimg.window != ctx.window:
+        raise ConfigurationError("g window differs from the context window")
+    ks = np.flatnonzero(fimg.g_seq) + ctx.window[0]
+    if len(ks) == 0:
         return CheckResult(BAND_SUPPORT, True, "g vanishes on the window")
-    d = ctx.dist[nz]
+    d = _boundary_dist(ctx.edges, ks)
     inside = (d > 0.0) & (d < 3.0 * sparams.m)
     if np.all(inside):
         return CheckResult(
-            BAND_SUPPORT, True, f"{count} nonzero entries, all in the collar"
+            BAND_SUPPORT, True, f"{len(ks)} nonzero entries, all in the collar"
         )
-    k = int(ctx.ks[nz][int(np.argmin(inside))])
+    k = int(ks[int(np.argmin(inside))])
     return CheckResult(BAND_SUPPORT, False, f"nonzero g outside the collar at k={k}", k)
 
 
@@ -686,18 +704,24 @@ def admissible_recovery_starts(ctx: FactorContext, sparams: SignalParams) -> np.
 
     Conditions: one owner across the block, start congruent to the owner
     modulo m-1, and every block time between 1 and 2m from the boundary
-    (where the collar gate is identically 1).
+    (where the collar gate is identically 1).  Such times lie within 2m of
+    the floor of an endpoint, so only that collar is read; a block is m-1
+    consecutive collar coordinates.
     """
     m = sparams.m
-    n = len(ctx.ks)
+    ks = ctx.near(2 * m)
+    n = len(ks)
     if n < m - 1:
         return np.empty(0, dtype=np.int64)
-    ok = (ctx.dist >= 1.0) & (ctx.dist <= 2.0 * m)
+    dist = _boundary_dist(ctx.edges, ks)
+    owners = ctx.owners_at(ks)
+    ok = (dist >= 1.0) & (dist <= 2.0 * m)
     run = np.concatenate(([0], np.cumsum(ok.astype(np.int64))))
     full = run[m - 1 :] - run[: n - m + 2] == m - 1
-    same_owner = ctx.owners[m - 2 :] == ctx.owners[: n - m + 2]
-    residue = (ctx.ks[: n - m + 2] - ctx.owners[: n - m + 2]) % (m - 1) == 0
-    return ctx.ks[: n - m + 2][full & same_owner & residue]
+    consecutive = ks[m - 2 :] - ks[: n - m + 2] == m - 2
+    same_owner = owners[m - 2 :] == owners[: n - m + 2]
+    residue = (ks[: n - m + 2] - owners[: n - m + 2]) % (m - 1) == 0
+    return ks[: n - m + 2][full & consecutive & same_owner & residue]
 
 
 def check_band_recovery(

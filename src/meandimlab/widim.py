@@ -191,8 +191,8 @@ class CellSpace:
         if len(ids) == 0:
             raise CoverError("empty element")
         if not self.is_grid:
-            pts = np.concatenate([self.buckets[a] for a in ids]).astype(np.int64)
-            return float(self.dmat[np.ix_(pts, pts)].max())
+            # the largest distance from any bucket of ids to any other, both orders
+            return float(self._bucket_dists[1][np.ix_(ids, ids)].max())
         # sup metric: the diameter is the largest weighted per-axis extent
         multi = np.unravel_index(ids, self.shape)
         best = 0.0
@@ -886,22 +886,20 @@ def nerve_and_projection(cover: CellCover):
     A, E = space.n_atoms, len(cover.elements)
     clamp = mesh / 2 if mesh > 0 else 1.0
     W = np.zeros((A, E))
-    members = [np.fromiter(el, dtype=np.int64) for el in cover.elements]
+    leaders = None if space.is_grid else np.array([b[0] for b in space.buckets])
     for e, el in enumerate(cover.elements):
-        outside = sorted(set(range(A)) - el)
-        for a in el:
-            if not outside:
-                W[a, e] = clamp
-            elif space.is_grid:
+        inside, outside = sorted(el), sorted(set(range(A)) - el)
+        if not outside:
+            W[inside, e] = clamp
+        elif space.is_grid:
+            for a in inside:
                 p = _atom_center(space, a)
                 d = min(_center_to_atom_dist(space, p, b) for b in outside)
                 W[a, e] = min(d, clamp)
-            else:
-                rep = space.buckets[a][0]
-                d = min(
-                    space.dmat[rep, space.buckets[b][0]] for b in outside
-                )
-                W[a, e] = min(d, clamp)
+        else:
+            # one row minimum per atom: its leader's distance to the outside leaders
+            d = space.dmat[np.ix_(leaders[inside], leaders[outside])].min(axis=1)
+            W[inside, e] = np.minimum(d, clamp)
     for a in range(A):
         if W[a].sum() <= 0:
             for e, el in enumerate(cover.elements):

@@ -165,6 +165,27 @@ def test_star_map_vertex_memo_is_transparent():
     assert F == StarMap(system=SYS, eps_half=0.125, n_horizon=3, m=5, seed=2)
 
 
+@pytest.mark.parametrize("seed", [0, 9, 2**32 - 1, 2**32 + 5])
+def test_star_map_vertex_draw_is_the_list_seeded_stream(seed):
+    """Each vertex draws default_rng([seed, m, *key]) bitwise: entries in
+    [0, 2^32) as one uint32 word each, and larger ones (seed 2^32 + 5, a
+    key entry of 2^32 or more) through the list, which splits them."""
+    m = 13
+    F = StarMap(system=SYS, eps_half=0.125, n_horizon=5, m=m, seed=seed)
+    rng = np.random.default_rng(seed % 97)
+    keys = [tuple(rng.integers(0, 40, size=int(rng.integers(1, 9))).tolist()) for _ in range(25)]
+    keys += [(0,), (0, 0, 0), (2**32 - 1,), (3, 2**32 - 1, 0), (2**32,), (5, 2**40 + 3)]
+    for key in keys:
+        want = np.random.default_rng([seed, m, *key]).random(m - 1)
+        assert F._vertex_image(key).tobytes() == want.tobytes(), key
+        assert F._images[key] is F._vertex_image(key)  # memoised
+    # a negative entry is still rejected, as the list seed rejects it
+    with pytest.raises(ValueError):
+        F._vertex_image((1, -1, 0))
+    with pytest.raises(ValueError):
+        StarMap(system=SYS, eps_half=0.125, n_horizon=5, m=m, seed=-1)._vertex_image((1, 2))
+
+
 @pytest.mark.parametrize("D", [1, 2])
 @pytest.mark.parametrize("eps_half, n_horizon, m", [(0.125, 5, 13), (0.125, 3, 3), (0.3, 2, 5)])
 def test_star_map_batch_matches_reference(D, eps_half, n_horizon, m):

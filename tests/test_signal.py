@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from meandimlab.config import default_config, resolve
 from meandimlab.dynsys import ConfigurationError, SystemSpec, make_point, sample_points
 from meandimlab.marker import make_marker_spec, marker_sequence, support_window_for
-from meandimlab.pipeline import StarMap
+from meandimlab.pipeline import StarMap, _counts, _star_map
 from meandimlab.signal import (
     FactorContext,
     FactorImage,
@@ -403,6 +403,79 @@ def test_owner_lookup_rejects_uncovered_gap():
 
 
 # ---------------------------------------------------------------------------
+# dense references of the factor image and the band checks
+
+
+def reference_factor_image(ctx, sparams, F_oracle=None):
+    """The phi and g windows from the dense owners, distances and label
+    weights of every window coordinate: the reference of factor_image."""
+    phi = np.minimum(ctx.dist, 1.0) + alpha_deep(ctx.dist, sparams.R) * ctx.gam
+    if F_oracle is None:
+        return FactorImage(window=ctx.window, phi_seq=phi)
+    m = sparams.m
+    band = alpha_band(ctx.dist, m)
+    collar = np.flatnonzero(band > 0.0)
+    t = ctx.ks[collar]
+    s = t - (t - ctx.owners[collar]) % (m - 1)
+    starts, row = np.unique(s, return_inverse=True)
+    blocks = oracle_blocks(F_oracle, ctx.x, starts, m)
+    g = np.zeros(len(ctx.ks))
+    g[collar] = band[collar] * blocks[row, t - s]
+    return FactorImage(window=ctx.window, phi_seq=phi, g_seq=g)
+
+
+def reference_recovery_starts(ctx, sparams):
+    """admissible_recovery_starts over every window coordinate."""
+    m = sparams.m
+    n = len(ctx.ks)
+    if n < m - 1:
+        return np.empty(0, dtype=np.int64)
+    ok = (ctx.dist >= 1.0) & (ctx.dist <= 2.0 * m)
+    run = np.concatenate(([0], np.cumsum(ok.astype(np.int64))))
+    full = run[m - 1 :] - run[: n - m + 2] == m - 1
+    same_owner = ctx.owners[m - 2 :] == ctx.owners[: n - m + 2]
+    residue = (ctx.ks[: n - m + 2] - ctx.owners[: n - m + 2]) % (m - 1) == 0
+    return ctx.ks[: n - m + 2][full & same_owner & residue]
+
+
+def reference_band_support(ctx, fimg, sparams):
+    """check_band_support over every window coordinate, as (passed,
+    witness, detail)."""
+    nz = fimg.g_seq != 0.0
+    count = int(np.count_nonzero(nz))
+    if count == 0:
+        return True, None, "g vanishes on the window"
+    d = ctx.dist[nz]
+    inside = (d > 0.0) & (d < 3.0 * sparams.m)
+    if np.all(inside):
+        return True, None, f"{count} nonzero entries, all in the collar"
+    k = int(ctx.ks[nz][int(np.argmin(inside))])
+    return False, k, f"nonzero g outside the collar at k={k}"
+
+
+def assert_image_matches_reference(ctx, sparams, oracles=()):
+    """factor_image without and with each oracle, admissible_recovery_starts
+    and check_band_support are bitwise their dense references; returns the
+    g windows and the starts."""
+    gs = []
+    for F in (None, *oracles):
+        got, want = factor_image(ctx, sparams, F), reference_factor_image(ctx, sparams, F)
+        assert got.window == want.window == ctx.window
+        assert got.phi_seq.tobytes() == want.phi_seq.tobytes()
+        if F is None:
+            assert got.g_seq is None
+            continue
+        assert got.g_seq.tobytes() == want.g_seq.tobytes()
+        res = check_band_support(ctx, got, sparams)
+        assert (res.passed, res.witness, res.detail) == reference_band_support(ctx, want, sparams)
+        gs.append(got.g_seq)
+    starts = admissible_recovery_starts(ctx, sparams)
+    want = reference_recovery_starts(ctx, sparams)
+    assert starts.dtype == want.dtype and starts.tobytes() == want.tobytes()
+    return gs, starts
+
+
+# ---------------------------------------------------------------------------
 # tile-sparse phi against the dense path
 
 
@@ -448,7 +521,7 @@ def assert_sparse_matches_dense(ctx, sparams, segments=8, seed=0):
     """sparse_phi, its segments, the plateau report and the profile cap
     are bitwise those of the dense path; returns (sparse, dense phi)."""
     img = sparse_phi(ctx, sparams)
-    dense = factor_image(ctx, sparams).phi_seq
+    dense = reference_factor_image(ctx, sparams).phi_seq
     lo, hi = ctx.window
     whole = img.segment(lo, hi)
     assert whole.tobytes() == dense.tobytes()
@@ -726,6 +799,125 @@ def test_g_window_matches_per_coordinate_reference(suite, seed):
         ref = reference_g(ctx, sparams, F)
         assert np.count_nonzero(ref) > 0
         assert factor_image(ctx, sparams, F).g_seq.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("variant", list(GammaVariant))
+def test_factor_image_matches_reference_on_real_stacks(real_stack, variant):
+    name, (mspec, tparams, sparams) = real_stack
+    sparams = SignalParams.from_tiling(tparams, sparams.m, variant)
+    N = 20 * mspec.M1 if name == "bulk" else 2 * mspec.M1
+    oracles = (oracle_for(sparams.m), StarMap(mspec.system, 0.125, 3, sparams.m, seed=1))
+    for i, x in enumerate(sample_points(mspec.system, 2, seed=17)):
+        shift = (-1234, 10**9 + 7)[i]
+        ctx = factor_context(x, mspec, tparams, sparams, (shift, shift + N - 1))
+        gs, starts = assert_image_matches_reference(ctx, sparams, oracles)
+        assert all(np.count_nonzero(g) > 0 for g in gs) and len(starts) > 0
+
+
+def test_factor_image_matches_reference_on_fibre_pool_windows():
+    """The windows [-K, K + m - 2] of the default fibre chain's pool."""
+    config = default_config(seed=0)
+    res = resolve(config)
+    sparams, K = res.sparams, res.tparams.K
+    pool = sample_points(config.system, _counts(config.sample_count)["pool_size"], config.seed + 4)
+    F = _star_map(res, 0)
+    for j, x in enumerate(pool):
+        ctx = factor_context(x, res.mspec, res.tparams, sparams, (-K, K + sparams.m - 2))
+        oracles = (F, oracle_for(sparams.m)) if j < 3 else (F,)
+        gs, starts = assert_image_matches_reference(ctx, sparams, oracles)
+        assert np.count_nonzero(gs[0]) > 0 and len(starts) > 0
+
+
+SP9_M5 = SignalParams(R=9.0, m=5)
+
+
+@pytest.mark.parametrize(
+    "tiling, window",
+    [
+        (INTEGER_TILING, (-20, 30)),  # every endpoint is a coordinate
+        (INTEGER_TILING, (-5, 14)),  # window edges on endpoints
+        (INTEGER_TILING, (-3, 12)),  # endpoints -5 and 14 just outside the edges
+        (INTEGER_TILING, (-13, 17)),
+        (INTEGER_TILING, (7, 7)),  # shorter than m - 1
+        (INTEGER_TILING, (8, 10)),  # shorter than m - 1 for m = 5
+        (FRACTIONAL_TILING, (-18, 25)),
+        (FRACTIONAL_TILING, (-1, 3)),
+        (SINGLE_TILING, (-100, 100)),
+        (SINGLE_TILING, (50, 61)),  # no endpoint within 3m
+        (SHORT_TILING, (-10, 20)),
+        (ALL_RIGID_TILING, (-97, 97)),  # endpoints 3 outside either edge
+    ],
+)
+@pytest.mark.parametrize(
+    "sparams", [SP9, SignalParams(R=9.0, m=3, gamma_variant=GammaVariant.MIN_AT_ZERO), SP9_M5]
+)
+def test_factor_image_matches_reference_on_hand_made_tilings(tiling, window, sparams):
+    x = make_point(SYS, 0.5, Fraction(3, 1000))
+    ctx = FactorContext.over(x, None, tiling, window, sparams)
+    oracles = (oracle_for(sparams.m), StarMap(SYS, 0.125, 3, sparams.m, seed=1))
+    assert_image_matches_reference(ctx, sparams, oracles)
+
+
+def test_factor_image_calls_no_oracle_without_a_collar():
+    x = make_point(SYS, 0.5, Fraction(3, 1000))
+    ctx = FactorContext.over(x, None, SINGLE_TILING, (50, 61), SP9)
+    calls = []
+    fimg = factor_image(ctx, SP9, lambda ow: calls.append(ow) or np.zeros(SP9.m - 1))
+    assert not calls and not np.any(fimg.g_seq)
+    assert len(admissible_recovery_starts(ctx, SP9)) == 0
+    assert check_band_support(ctx, fimg, SP9).detail == "g vanishes on the window"
+
+
+def test_band_support_rejects_g_outside_the_collar(suite, instance):
+    """Negative control: a nonzero g planted 3m or more from every endpoint
+    fails, with that coordinate as witness, as in the dense reference."""
+    mspec, tparams, sparams = suite
+    x, ctx, fimg = instance
+    lo = ctx.window[0]
+    assert check_band_support(ctx, fimg, sparams).passed
+    far = np.flatnonzero(ctx.dist >= 3.0 * sparams.m)
+    k = int(far[len(far) // 2]) + lo
+    assert fimg.g_seq[k - lo] == 0.0
+    g = fimg.g_seq.copy()
+    g[k - lo] = 0.5
+    planted = FactorImage(fimg.window, fimg.phi_seq, g)
+    res = check_band_support(ctx, planted, sparams)
+    assert (res.passed, res.witness) == (False, k)
+    assert res.detail == f"nonzero g outside the collar at k={k}"
+    assert (res.passed, res.witness, res.detail) == reference_band_support(ctx, planted, sparams)
+
+
+def test_band_support_rejects_g_on_an_endpoint():
+    """Negative control: g nonzero at an integer endpoint, distance 0."""
+    x = make_point(SYS, 0.5, Fraction(3, 1000))
+    ctx = FactorContext.over(x, None, INTEGER_TILING, (-20, 30), SP9)
+    fimg = factor_image(ctx, SP9, oracle_for(SP9.m))
+    assert fimg.g_seq[6 + 20] == 0.0 and check_band_support(ctx, fimg, SP9).passed
+    g = fimg.g_seq.copy()
+    g[6 + 20] = 0.25
+    res = check_band_support(ctx, FactorImage(fimg.window, fimg.phi_seq, g), SP9)
+    assert (res.passed, res.witness) == (False, 6)
+    with pytest.raises(ConfigurationError, match="g window differs"):
+        check_band_support(ctx, FactorImage((-19, 31), fimg.phi_seq, g), SP9)
+
+
+def test_fibre_stage_reads_no_dense_context_array():
+    """Guard against a return to window-wide passes: the calls of the fibre
+    chain and the band suite leave the dense test-reference views unbuilt."""
+    config = default_config(seed=0)
+    res = resolve(config)
+    sparams, K = res.sparams, res.tparams.K
+    x = sample_points(config.system, _counts(config.sample_count)["pool_size"], config.seed + 4)[0]
+    ctx = factor_context(x, res.mspec, res.tparams, sparams, (-K, K + sparams.m - 2))
+    F = _star_map(res, 0)
+    fimg = factor_image(ctx, sparams, F)
+    starts = admissible_recovery_starts(ctx, sparams)
+    assert check_band_support(ctx, fimg, sparams).passed
+    assert check_band_recovery(ctx, fimg, F, sparams).passed
+    assert np.count_nonzero(fimg.g_seq) > 0 and len(starts) > 0
+    assert not {"ks", "owners", "dist", "gam"} & vars(ctx).keys()
+    ctx.dist  # the views are cached properties: reading one builds it
+    assert "dist" in vars(ctx)
 
 
 def test_oracle_blocks_batched_and_plain(suite, instance):

@@ -599,6 +599,70 @@ def test_greedy_cover_matches_reference(seed, kind):
         assert list(got) == _reference_greedy_cover(space, eps, order)
 
 
+def _reference_element_diameter(space, atoms):
+    """The diameter of an atom union of a sample space over its points."""
+    pts = np.concatenate([space.buckets[a] for a in atoms]).astype(np.int64)
+    return float(space.dmat[np.ix_(pts, pts)].max())
+
+
+def _reference_projection(cover):
+    """The barycentric weights of ``nerve_and_projection`` on a sample
+    space, one generator step per (atom, element, outside bucket)."""
+    space = cover.space
+    mesh, _ = cover_stats(cover)
+    A = space.n_atoms
+    clamp = mesh / 2 if mesh > 0 else 1.0
+    W = np.zeros((A, len(cover.elements)))
+    for e, el in enumerate(cover.elements):
+        outside = sorted(set(range(A)) - el)
+        for a in el:
+            if not outside:
+                W[a, e] = clamp
+            else:
+                rep = space.buckets[a][0]
+                d = min(space.dmat[rep, space.buckets[b][0]] for b in outside)
+                W[a, e] = min(d, clamp)
+    for a in range(A):
+        if W[a].sum() <= 0:
+            for e, el in enumerate(cover.elements):
+                if a in el:
+                    W[a, e] = 1.0
+    return W / W.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", ["leader", "runs", "singletons", "one"])
+@pytest.mark.parametrize("seed", range(6))
+def test_element_diameter_matches_reference(seed, kind):
+    space = _random_sample_space(seed, kind)
+    B = space.n_atoms
+    rng = np.random.default_rng([seed, B])
+    subsets = [list(range(B)), [0], [B - 1, 0], [0, 0]]
+    subsets += [rng.choice(B, size=int(rng.integers(1, B + 1)), replace=False).tolist()
+                for _ in range(12)]
+    for atoms in subsets:
+        want = _reference_element_diameter(space, atoms)
+        assert space.element_diameter(atoms) == want
+        assert space.element_diameter(frozenset(atoms)) == want
+
+
+@pytest.mark.parametrize("kind", ["leader", "runs", "singletons", "one"])
+@pytest.mark.parametrize("seed", range(6))
+def test_projection_matches_reference(seed, kind):
+    # the greedy cover, the same cover grown by adjacent buckets (overlapping
+    # elements, nerves up to dimension 7) and the one-element cover
+    space = _random_sample_space(seed, kind)
+    cover = min_multiplicity(space, float(space.max_atom_diameter()) + 0.3).cover
+    adj = space.adjacency()
+    grown = tuple(
+        frozenset(int(b) for a in el for b in np.flatnonzero(adj[a])) for el in cover.elements
+    )
+    whole = (frozenset(range(space.n_atoms)),)
+    for elements in (cover.elements, grown, whole):
+        c = CellCover(space, elements)
+        _, W = nerve_and_projection(c)
+        assert W.tobytes() == _reference_projection(c).tobytes()
+
+
 def test_from_samples_resolution_message():
     # the second bucket {10, 10.5, 9.5} is the first one too wide
     pts = np.array([0.0, 10.0, 10.5, 9.5, 20.0])
